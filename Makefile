@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race test-tls test-elastic test-recovery test-quota test-autoscale fuzz-short bench bench-probe bench-smoke probe-smoke check
+.PHONY: all build vet fmt-check test test-race test-tls test-elastic test-recovery test-quota test-autoscale fuzz-short bench bench-probe bench-smoke bench-check probe-smoke check
 
 all: build
 
@@ -37,11 +37,12 @@ test-tls:
 	$(GO) test -run 'TLS|Auth|Secure' -v . ./internal/server/ ./internal/shard/
 
 # The elasticity suite: live shard-set rebalancing (grow, shrink, chained
-# resizes, abort/crash recovery), engine state export/import, the session
-# pool, and the streamshard admin endpoint — then the rebalance and pool
-# paths again under the race detector.
+# resizes, abort/crash recovery), engine state export/import, the
+# re-slicing and effective-window units, the session pool, and the
+# streamshard admin endpoint — then the rebalance and pool paths again
+# under the race detector.
 test-elastic:
-	$(GO) test -run 'Rebalance|ImportExport|ExportState|Pool|Admin|Elastic' -v \
+	$(GO) test -run 'Rebalance|ImportExport|ExportState|Reslice|EffectiveWindow|Pool|Admin|Elastic' -v \
 		./internal/shard/ ./internal/softjoin/ ./internal/server/ ./internal/rebalance/... \
 		./cmd/streamshard/ ./internal/experiments/
 	$(GO) test -race -run 'Rebalance|Pool' ./internal/shard/ ./internal/server/
@@ -85,7 +86,10 @@ test-autoscale:
 
 # Short fuzzing pass over the wire-protocol decoders (10s per target),
 # seeded from the corruption-test corpus. CI-sized; run `go test -fuzz`
-# directly for longer campaigns.
+# directly for longer campaigns. FuzzDecodeChunk lives with the checkpoint
+# targets but fuzzes the one window-state chunk decoder,
+# wire.DecodeStateChunk, which StateChunk frames and checkpoint state
+# sections share.
 fuzz-short:
 	@for f in FuzzReadFrame FuzzDecodeBatch FuzzDecodeResults FuzzDecodeControl; do \
 		echo "fuzzing $$f"; \
@@ -116,6 +120,13 @@ bench-probe:
 # without paying measurement time. CI runs this.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/wire/ ./internal/softjoin/
+
+# The service benchmark is a module of its own (svcbench/), so the root
+# build and tests never compile it, though it calls the router, wire and
+# client APIs. Vet it and run its short tests (checker vs oracle, metric
+# names) against this tree.
+bench-check:
+	cd svcbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # CI assertion: the hash kernel must answer the equi-join probe load in
 # less wall time than the block scan at W=2^14 — the point of the index.

@@ -8,10 +8,11 @@
 // The paper's join nodes keep the entire window in volatile device memory
 // (FPGA BRAM, GPU device RAM); a node loss forfeits the window and the
 // operator degrades until it refills. A snapshot makes that state
-// relocatable across process lifetimes the same way ExportState made it
-// relocatable across nodes: tuples tagged with global arrival sequence
-// numbers, so a restarted engine resumes counting where the snapshot
-// stopped and clients replay only the post-snapshot suffix.
+// relocatable across process lifetimes the same way a rebalance makes it
+// relocatable across nodes, and with the same image: the engine's
+// SnapshotState (tuples tagged with global arrival sequence numbers plus
+// the two arrival counters), so a restarted engine resumes counting where
+// the snapshot stopped and clients replay only the post-snapshot suffix.
 //
 // File layout (little-endian, uvarints as in encoding/binary):
 //
@@ -20,7 +21,8 @@
 //
 // The CRC covers the kind byte and the payload (not the length). Sections
 // appear in order: one manifest (kind 1), zero or more state chunks
-// (kind 2, ≤ MaxChunkTuples tuples each), one footer (kind 3) echoing the
+// (kind 2, ≤ wire.MaxStateChunk tuples each, in the StateChunk payload
+// encoding of wire.AppendStateChunk), one footer (kind 3) echoing the
 // tuple totals and sequence numbers. A reader accepts a file only when
 // every CRC matches, the manifest and footer agree, and the chunk tuple
 // counts sum to the manifest totals — so torn, truncated, or bit-flipped
@@ -35,6 +37,7 @@ import (
 
 	"accelstream/internal/core"
 	"accelstream/internal/stream"
+	"accelstream/internal/wire"
 )
 
 // Magic identifies a checkpoint file; the trailing digit is the format
@@ -51,11 +54,6 @@ const (
 	sectionFooter   = 3
 )
 
-// MaxChunkTuples bounds a single state section, mirroring
-// wire.MaxStateChunk so a snapshot streams through the same chunked
-// import path as a rebalance transfer.
-const MaxChunkTuples = 8192
-
 // maxWindow mirrors the wire-level window sanity bound (2^26) so a
 // corrupted or adversarial manifest cannot make the decoder allocate an
 // absurd buffer.
@@ -64,11 +62,7 @@ const maxWindow = 1 << 26
 // maxSections bounds the section count a reader will walk, derived from
 // the largest legal window: maxWindow tuples per side over minimum-size
 // chunks, plus manifest and footer. Anything longer is corrupt.
-const maxSections = 2*maxWindow/MaxChunkTuples + 16
-
-// tupleWire is the fixed portion of an encoded tuple: side byte, key and
-// value words; the seq uvarint follows (1–10 bytes).
-const tupleWire = 1 + 4 + 4
+const maxSections = 2*maxWindow/wire.MaxStateChunk + 16
 
 // Meta describes the engine a snapshot was taken from and where in the
 // global input streams it stops. Restore refuses a snapshot whose shape
@@ -186,47 +180,6 @@ func DecodeManifest(payload []byte) (m Meta, chunks int, err error) {
 	return m, int(nchunks), nil
 }
 
-// EncodeChunk encodes a state section payload of at most MaxChunkTuples
-// tuples (exported for the fuzz harness).
-func EncodeChunk(tuples []core.Input) []byte {
-	b := make([]byte, 0, 1+len(tuples)*(tupleWire+2))
-	b = appendUvarint(b, uint64(len(tuples)))
-	for _, in := range tuples {
-		b = append(b, byte(in.Side))
-		b = binary.LittleEndian.AppendUint32(b, in.Tuple.Key)
-		b = binary.LittleEndian.AppendUint32(b, in.Tuple.Val)
-		b = appendUvarint(b, in.Tuple.Seq)
-	}
-	return b
-}
-
-// DecodeChunk parses a state section payload, appending its tuples to dst
-// (exported for the fuzz harness).
-func DecodeChunk(payload []byte, dst []core.Input) ([]core.Input, error) {
-	c := cursor{b: payload}
-	n := c.uvarint()
-	if c.err == nil && n > MaxChunkTuples {
-		return dst, fmt.Errorf("checkpoint: chunk of %d tuples exceeds limit %d", n, MaxChunkTuples)
-	}
-	if c.err == nil && n*(tupleWire+1) > uint64(len(payload)) {
-		return dst, fmt.Errorf("checkpoint: chunk count %d exceeds payload", n)
-	}
-	for i := uint64(0); i < n && c.err == nil; i++ {
-		side := stream.Side(c.byte())
-		key := c.u32()
-		val := c.u32()
-		seq := c.uvarint()
-		if side != stream.SideR && side != stream.SideS {
-			return dst, fmt.Errorf("checkpoint: invalid tuple side %d", side)
-		}
-		dst = append(dst, core.Input{Side: side, Tuple: stream.Tuple{Key: key, Val: val, Seq: seq}})
-	}
-	if err := c.finish(); err != nil {
-		return dst, err
-	}
-	return dst, nil
-}
-
 // encodeFooter builds the footer payload: redundant totals so truncation
 // after the last chunk is still detected.
 func encodeFooter(m Meta) []byte {
@@ -269,16 +222,18 @@ func Encode(s Snapshot) ([]byte, error) {
 	}
 	m := s.Meta
 	m.TuplesR, m.TuplesS = nr, ns
-	chunks := (len(s.Tuples) + MaxChunkTuples - 1) / MaxChunkTuples
-	out := make([]byte, 0, len(Magic)+64+len(s.Tuples)*(tupleWire+2)+chunks*16)
+	chunks := (len(s.Tuples) + wire.MaxStateChunk - 1) / wire.MaxStateChunk
+	// A state tuple encodes to 10–19 bytes; 11 covers sequence numbers
+	// below 2^14 without regrowth.
+	out := make([]byte, 0, len(Magic)+64+len(s.Tuples)*11+chunks*16)
 	out = append(out, Magic...)
 	out = appendSection(out, sectionManifest, EncodeManifest(m, chunks))
-	for off := 0; off < len(s.Tuples); off += MaxChunkTuples {
-		end := off + MaxChunkTuples
-		if end > len(s.Tuples) {
-			end = len(s.Tuples)
-		}
-		out = appendSection(out, sectionChunk, EncodeChunk(s.Tuples[off:end]))
+	var payload []byte
+	for rest := s.Tuples; len(rest) > 0; {
+		n := min(len(rest), wire.MaxStateChunk)
+		payload = wire.AppendStateChunk(payload[:0], rest[:n])
+		out = appendSection(out, sectionChunk, payload)
+		rest = rest[n:]
 	}
 	out = appendSection(out, sectionFooter, encodeFooter(m))
 	return out, nil
@@ -344,9 +299,9 @@ func Decode(data []byte) (Snapshot, error) {
 				return Snapshot{}, fmt.Errorf("checkpoint: more chunks than manifest declares")
 			}
 			var err error
-			snap.Tuples, err = DecodeChunk(body, snap.Tuples)
+			snap.Tuples, err = wire.DecodeStateChunk(body, snap.Tuples)
 			if err != nil {
-				return Snapshot{}, err
+				return Snapshot{}, fmt.Errorf("checkpoint: %w", err)
 			}
 			if uint64(len(snap.Tuples)) > snap.Meta.TuplesR+snap.Meta.TuplesS {
 				return Snapshot{}, fmt.Errorf("checkpoint: more tuples than manifest declares")
@@ -383,7 +338,7 @@ func Decode(data []byte) (Snapshot, error) {
 	return snap, nil
 }
 
-// cursor is a bounds-checked little-endian reader over a section payload,
+// cursor is a bounds-checked reader over a manifest or footer payload,
 // mirroring the wire package's decoder idiom.
 type cursor struct {
 	b   []byte
@@ -414,19 +369,6 @@ func (c *cursor) byte() byte {
 	}
 	v := c.b[c.off]
 	c.off++
-	return v
-}
-
-func (c *cursor) u32() uint32 {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+4 > len(c.b) {
-		c.err = fmt.Errorf("checkpoint: truncated u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b[c.off:])
-	c.off += 4
 	return v
 }
 

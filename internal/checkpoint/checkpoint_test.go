@@ -9,6 +9,7 @@ import (
 
 	"accelstream/internal/core"
 	"accelstream/internal/stream"
+	"accelstream/internal/wire"
 )
 
 // randSnapshot builds a snapshot with n window tuples split across both
@@ -49,7 +50,7 @@ func randSnapshot(rng *rand.Rand, n int) Snapshot {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 7, MaxChunkTuples, MaxChunkTuples + 1, 3*MaxChunkTuples + 5} {
+	for _, n := range []int{0, 1, 7, wire.MaxStateChunk, wire.MaxStateChunk + 1, 3*wire.MaxStateChunk + 5} {
 		snap := randSnapshot(rng, n)
 		data, err := Encode(snap)
 		if err != nil {

@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"math/rand"
 	"testing"
+
+	"accelstream/internal/wire"
 )
 
 // The fuzz targets harden the snapshot-file decoders against arbitrary
@@ -38,7 +40,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	// One multi-chunk file, seeded without flips: flipping a ~75KB seed
 	// every 16 bytes would bloat the corpus for no added decoder coverage.
-	multi, err := Encode(randSnapshot(rng, MaxChunkTuples+3))
+	multi, err := Encode(randSnapshot(rng, wire.MaxStateChunk+3))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -89,22 +91,23 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeChunk fuzzes the tuple-chunk decoder: accepted chunks must
-// stay within the chunk bound and round-trip tuple-for-tuple.
+// FuzzDecodeChunk fuzzes the state-chunk decoder the checkpoint file's
+// state sections and the wire's StateChunk frames share: accepted chunks
+// must stay within the chunk bound and round-trip tuple-for-tuple.
 func FuzzDecodeChunk(f *testing.F) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int{0, 1, 33} {
-		seedWithFlips(f, EncodeChunk(randSnapshot(rng, n).Tuples))
+		seedWithFlips(f, wire.AppendStateChunk(nil, randSnapshot(rng, n).Tuples))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		tuples, err := DecodeChunk(payload, nil)
+		tuples, err := wire.DecodeStateChunk(payload, nil)
 		if err != nil {
 			return
 		}
-		if len(tuples) > MaxChunkTuples {
-			t.Fatalf("accepted chunk of %d tuples beyond MaxChunkTuples", len(tuples))
+		if len(tuples) > wire.MaxStateChunk {
+			t.Fatalf("accepted chunk of %d tuples beyond MaxStateChunk", len(tuples))
 		}
-		tuples2, err := DecodeChunk(EncodeChunk(tuples), nil)
+		tuples2, err := wire.DecodeStateChunk(wire.AppendStateChunk(nil, tuples), nil)
 		if err != nil || len(tuples2) != len(tuples) {
 			t.Fatalf("chunk round trip diverged: %d vs %d tuples, err=%v", len(tuples), len(tuples2), err)
 		}

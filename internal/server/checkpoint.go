@@ -20,11 +20,13 @@ import (
 //     session whose engine shape matches, exactly once; the session
 //     resumes the engine's BaseSeqR/S from it, imports the window, and
 //     tells the client via the OpenAck resume tail.
-//   - checkpointNow (FrameCheckpoint / the automatic interval / final
-//     teardown): quiesce the live engine at a punctuation boundary, wait
-//     until every result the snapshotted input produced has been handed
-//     to the connection (so a restored client never misses results it
-//     was never sent), then persist.
+//   - cutSnapshot (every window image): quiesce the engine at a
+//     punctuation boundary and wait until every result the snapshotted
+//     input produced has been handed to the connection (so a restored
+//     client never misses results it was never sent). checkpointNow (the
+//     automatic interval / final teardown) then persists the image;
+//     shipState (FrameCheckpoint / FrameRebalancePrepare) streams it to
+//     the client, persisting it first for a Checkpoint.
 //
 // The result-flush barrier is what makes a snapshot safe to resume from:
 // a snapshot only becomes durable after every result implied by its
@@ -95,10 +97,13 @@ func (s *session) flushResults(target uint64) {
 	}
 }
 
-// cutSnapshot quiesces the live engine at the current punctuation
-// boundary and returns its window state and transfer summary. Must run
-// on the session's read-loop goroutine (or after it has exited): the
-// quiesce requires the single producer to be paused.
+// cutSnapshot quiesces the engine at the current punctuation boundary
+// and returns its window image and summary (per-side tuple totals and
+// arrival counters). It is the one way a session captures window state:
+// checkpoints cut it from the live engine, rebalance exports from the
+// closed, drained one. Must run on the session's read-loop goroutine (or
+// after it has exited): the quiesce requires the single producer to be
+// paused.
 func (s *session) cutSnapshot() ([]core.Input, wire.RebalanceInfo, error) {
 	snap, ok := s.eng.(Snapshotter)
 	if !ok {
@@ -176,29 +181,29 @@ func (s *session) checkpointNow(sync bool) (wire.RebalanceInfo, error) {
 	return info, nil
 }
 
-// checkpointRequested serves a client Checkpoint frame: cut the snapshot,
-// persist it durably when this server has a checkpoint store, and stream
-// the window state back to the client as StateChunk frames — a shard
-// router assembling a coordinated all-shard snapshot consumes them. The
-// caller sends the CheckpointDone frame with the returned summary.
-func (s *session) checkpointRequested() (wire.RebalanceInfo, error) {
+// shipState cuts the window image and streams it to the client as
+// StateChunk frames, closed by done carrying the summary: CheckpointDone
+// answers a client Checkpoint frame (persist set: the image is also
+// written durably when this server has a checkpoint store), and
+// RebalanceCommit ends a rebalance export. A shard router assembling a
+// coordinated all-shard snapshot, or a rebalance coordinator, consumes
+// the frames.
+func (s *session) shipState(persist bool, done func(*wire.Writer, wire.RebalanceInfo) error) (wire.RebalanceInfo, error) {
 	tuples, info, err := s.cutSnapshot()
 	if err != nil {
 		return wire.RebalanceInfo{}, err
 	}
-	if s.srv.ckpt != nil {
+	if persist && s.srv.ckpt != nil {
 		s.persistSnapshot(tuples, info, true)
 	}
-	for rest := tuples; len(rest) > 0; {
-		n := len(rest)
-		if n > wire.MaxStateChunk {
-			n = wire.MaxStateChunk
+	err = s.send(func(w *wire.Writer) error {
+		if err := w.WriteState(tuples); err != nil {
+			return err
 		}
-		chunk := rest[:n]
-		rest = rest[n:]
-		if err := s.send(func(w *wire.Writer) error { return w.WriteStateChunk(chunk) }); err != nil {
-			return wire.RebalanceInfo{}, fmt.Errorf("writing state chunk: %w", err)
-		}
+		return done(w, info)
+	})
+	if err != nil {
+		return wire.RebalanceInfo{}, fmt.Errorf("writing window state: %w", err)
 	}
 	return info, nil
 }

@@ -74,21 +74,20 @@ type Client struct {
 	closeSent bool
 	batchSeq  uint64
 
-	// Rebalance state-transfer plumbing: the base arrival counters this
-	// session was opened with, the accumulated export payload, and a
-	// one-slot channel delivering the server's RebalanceCommit echo.
+	// State-transfer plumbing: the base arrival counters this session was
+	// opened with, and the window image the server streams back. Incoming
+	// StateChunk frames accumulate into state for whichever of Checkpoint
+	// and ExportState is in flight (they never overlap: ExportState is
+	// terminal and Checkpoint refuses a closing session). The summary
+	// lands in ckptCh (CheckpointDone) or exportInfo plus commitCh
+	// (RebalanceCommit, which also echoes an ImportState).
 	baseSeqR, baseSeqS uint64
-	exportTuples       []core.Input
+	state              []core.Input
 	exportInfo         wire.RebalanceInfo
 	exportCommit       bool
 	commitCh           chan wire.RebalanceInfo
-
-	// Checkpoint plumbing: while a Checkpoint call is in flight, incoming
-	// StateChunk frames accumulate into ckptTuples (instead of the
-	// export path) until the CheckpointDone summary lands in ckptCh.
-	ckptActive bool
-	ckptTuples []core.Input
-	ckptCh     chan wire.RebalanceInfo
+	ckptActive         bool
+	ckptCh             chan wire.RebalanceInfo
 
 	// resumeAck preserves the server's OpenAck: a resumed session carries
 	// the checkpoint's arrival counters for the client to replay from.
@@ -353,15 +352,7 @@ func (c *Client) ImportState(tuples []core.Input) error {
 		}
 	}
 	c.wmu.Lock()
-	var err error
-	for rest := tuples; len(rest) > 0 && err == nil; {
-		n := len(rest)
-		if n > wire.MaxStateChunk {
-			n = wire.MaxStateChunk
-		}
-		err = c.w.WriteStateChunk(rest[:n])
-		rest = rest[n:]
-	}
+	err := c.w.WriteState(tuples)
 	if err == nil {
 		err = c.w.WriteRebalanceCommit(info)
 	}
@@ -420,11 +411,17 @@ func (c *Client) ExportState() ([]core.Input, wire.RebalanceInfo, error) {
 	if !c.exportCommit {
 		return nil, wire.RebalanceInfo{}, fmt.Errorf("%w: export ended without a rebalance commit", ErrConnectionLost)
 	}
-	if got := uint64(len(c.exportTuples)); got != c.exportInfo.TuplesR+c.exportInfo.TuplesS {
-		return nil, wire.RebalanceInfo{}, fmt.Errorf("server: export announced %d tuples, carried %d",
-			c.exportInfo.TuplesR+c.exportInfo.TuplesS, got)
+	return takeState(c.state, c.exportInfo, "export")
+}
+
+// takeState checks a received window image against the summary frame
+// that closed it.
+func takeState(tuples []core.Input, info wire.RebalanceInfo, what string) ([]core.Input, wire.RebalanceInfo, error) {
+	if got := uint64(len(tuples)); got != info.TuplesR+info.TuplesS {
+		return nil, wire.RebalanceInfo{}, fmt.Errorf("server: %s announced %d tuples, carried %d",
+			what, info.TuplesR+info.TuplesS, got)
 	}
-	return c.exportTuples, c.exportInfo, nil
+	return tuples, info, nil
 }
 
 // Resumed reports whether the server restored a durable checkpoint into
@@ -464,7 +461,7 @@ func (c *Client) Checkpoint() ([]core.Input, wire.RebalanceInfo, error) {
 		return nil, wire.RebalanceInfo{}, fmt.Errorf("server: checkpoint already in flight")
 	}
 	c.ckptActive = true
-	c.ckptTuples = nil
+	c.state = nil
 	c.mu.Unlock()
 	c.wmu.Lock()
 	err := c.w.WriteCheckpoint()
@@ -477,15 +474,11 @@ func (c *Client) Checkpoint() ([]core.Input, wire.RebalanceInfo, error) {
 	select {
 	case info := <-c.ckptCh:
 		c.mu.Lock()
-		tuples := c.ckptTuples
-		c.ckptTuples = nil
+		tuples := c.state
+		c.state = nil
 		c.ckptActive = false
 		c.mu.Unlock()
-		if got := uint64(len(tuples)); got != info.TuplesR+info.TuplesS {
-			return nil, wire.RebalanceInfo{}, fmt.Errorf("server: checkpoint announced %d tuples, carried %d",
-				info.TuplesR+info.TuplesS, got)
-		}
-		return tuples, info, nil
+		return takeState(tuples, info, "checkpoint")
 	case <-c.readerDone:
 		if err := c.Err(); err != nil {
 			return nil, wire.RebalanceInfo{}, err
@@ -555,18 +548,13 @@ func (c *Client) readLoop(r *wire.Reader) {
 				}
 			}
 		case wire.FrameStateChunk:
-			tuples, err := wire.DecodeStateChunk(f.Payload)
+			c.mu.Lock()
+			c.state, err = wire.DecodeStateChunk(f.Payload, c.state)
+			c.mu.Unlock()
 			if err != nil {
 				c.setErr(err)
 				return
 			}
-			c.mu.Lock()
-			if c.ckptActive {
-				c.ckptTuples = append(c.ckptTuples, tuples...)
-			} else {
-				c.exportTuples = append(c.exportTuples, tuples...)
-			}
-			c.mu.Unlock()
 		case wire.FrameRebalanceCommit:
 			info, err := wire.DecodeRebalanceCommit(f.Payload)
 			if err != nil {

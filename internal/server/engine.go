@@ -29,17 +29,6 @@ type Engine interface {
 	Backlog() int
 }
 
-// StateExporter is the optional engine capability behind the rebalance
-// export path: ExportState snapshots the resident window state (after
-// Close has drained the engine) as side-tagged tuples with their arrival
-// sequence numbers, and Seqs reports the per-side arrival counters at that
-// punctuation boundary. A session answers FrameRebalancePrepare only when
-// its engine implements this.
-type StateExporter interface {
-	ExportState() ([]core.Input, error)
-	Seqs() (seqR, seqS uint64)
-}
-
 // StateImporter is the optional engine capability behind the rebalance
 // import path: ImportState installs a window-state slice into a freshly
 // opened engine before its first batch. A session accepts FrameStateChunk
@@ -48,17 +37,18 @@ type StateImporter interface {
 	ImportState(tuples []core.Input) error
 }
 
-// Snapshotter is the optional engine capability behind durable
-// checkpoints: unlike StateExporter it snapshots a LIVE engine.
+// Snapshotter is the optional engine capability behind every window-state
+// image a session cuts: durable checkpoints and rebalance exports alike.
 // SnapshotState quiesces the engine at a punctuation boundary, returns
-// the resident window state (ascending per-side sequence order) with the
-// per-side arrival counters at the boundary, and leaves the engine
-// running. ResultsEmitted reports how many results have been handed to
-// the Results channel — at the quiesce boundary that count is exact, so
-// a session can wait until every pre-snapshot result has reached the
-// connection before declaring the snapshot durable. A session honors
-// FrameCheckpoint (and the automatic checkpoint interval) only when its
-// engine implements this.
+// the resident window state (ascending per-side sequence order, R before
+// S) with the per-side arrival counters at the boundary, and leaves a
+// live engine running; on a closed engine it returns the drained,
+// terminal state at once. ResultsEmitted reports how many results have
+// been handed to the Results channel — at the quiesce boundary that count
+// is exact, so a session can wait until every pre-snapshot result has
+// reached the connection before shipping or persisting the image. A
+// session honors FrameCheckpoint, FrameRebalancePrepare and the automatic
+// checkpoint interval only when its engine implements this.
 type Snapshotter interface {
 	SnapshotState() (tuples []core.Input, seqR, seqS uint64, err error)
 	ResultsEmitted() uint64

@@ -335,7 +335,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		go func() {
 			defer s.wg.Done()
 			sess.run()
-			s.retire(sess)
 		}()
 	}
 }
@@ -352,16 +351,26 @@ func rejectConn(conn net.Conn, full bool) {
 	conn.Close()
 }
 
-// retire moves a finished session from the live table to the history.
+// retire makes a finished session's accounting final, exactly once: it
+// releases the admission lease, marks the session closed, and moves it
+// from the live table to the history. A graceful teardown retires before
+// the Closed frame goes out, so a client that sees its close acknowledged
+// also sees it in Metrics; every other exit retires when run returns.
 func (s *Server) retire(sess *session) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.sessions, sess.id)
-	s.history = append(s.history, sess.metrics())
-	const keep = 256
-	if len(s.history) > keep {
-		s.history = s.history[len(s.history)-keep:]
-	}
+	sess.retireOnce.Do(func() {
+		if sess.lease != nil {
+			sess.lease.Release()
+		}
+		sess.live.Store(false)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		delete(s.sessions, sess.id)
+		s.history = append(s.history, sess.metrics())
+		const keep = 256
+		if len(s.history) > keep {
+			s.history = s.history[len(s.history)-keep:]
+		}
+	})
 }
 
 // Addr returns the listener address (nil before Serve).

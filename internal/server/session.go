@@ -86,6 +86,10 @@ type session struct {
 	// out a rate debt.
 	closing   chan struct{}
 	closeOnce sync.Once
+
+	// retireOnce guards Server.retire: graceful teardown retires before
+	// the Closed frame, and run's exit retires again as a no-op.
+	retireOnce sync.Once
 }
 
 func newSession(srv *Server, id uint64, conn net.Conn) *session {
@@ -189,15 +193,10 @@ func (s *session) fail(msg string) {
 
 // run owns the session from handshake to teardown.
 func (s *session) run() {
-	defer s.live.Store(false)
 	defer s.conn.Close()
-	// The admission lease is acquired mid-handshake; release it on every
-	// exit path (including handshake failures after the gate).
-	defer func() {
-		if s.lease != nil {
-			s.lease.Release()
-		}
-	}()
+	// The admission lease is acquired mid-handshake; retiring releases it
+	// on every exit path (including handshake failures after the gate).
+	defer s.srv.retire(s)
 
 	if err := s.handshake(); err != nil {
 		s.srv.logf("session %d: handshake failed: %v", s.id, err)
@@ -229,13 +228,25 @@ func (s *session) run() {
 	s.finalCheckpoint(mode)
 
 	if mode == closeExport {
-		// All results are flushed; the quiesced window state follows, then
-		// the Closed frame confirms the hand-off completed.
-		if !s.exportState() {
+		// All results are flushed; the drained window image follows, then
+		// the Closed frame confirms the hand-off completed. A failed export
+		// downgrades the teardown to an abort (no Closed frame), so the
+		// coordinator never mistakes a truncated export for a complete one.
+		s.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
+		info, err := s.shipState(false, (*wire.Writer).WriteRebalanceCommit)
+		if err != nil {
+			s.fail(err.Error())
+			s.srv.logf("session %d: state export: %v", s.id, err)
 			mode = closeAbort
+		} else {
+			s.srv.logf("session %d: exported %d R + %d S window tuples at seqs (%d, %d)",
+				s.id, info.TuplesR, info.TuplesS, info.SeqR, info.SeqS)
 		}
 	}
 	if mode != closeAbort {
+		// The books close before the Closed frame goes out: a client that
+		// sees its close acknowledged finds the session retired.
+		s.srv.retire(s)
 		st := wire.Stats{
 			TuplesIn:   s.tuplesIn.Load(),
 			BatchesIn:  s.batchesIn.Load(),
@@ -249,50 +260,6 @@ func (s *session) run() {
 	m := s.metrics()
 	s.srv.logf("session %d: closed (graceful=%v): %d tuples in / %d batches, %d results out, avg batch latency %v",
 		s.id, mode != closeAbort, m.TuplesIn, m.BatchesIn, m.ResultsOut, m.AvgBatchLatency)
-}
-
-// exportState streams the quiesced engine's window state: StateChunk
-// frames followed by a RebalanceCommit carrying per-side tuple counts and
-// the arrival counters at the punctuation boundary. Returns false on
-// failure, which downgrades the teardown to an abort (no Closed frame), so
-// the coordinator never mistakes a truncated export for a complete one.
-func (s *session) exportState() bool {
-	exp := s.eng.(StateExporter) // readLoop admits closeExport only with the capability
-	tuples, err := exp.ExportState()
-	if err != nil {
-		s.fail(err.Error())
-		s.srv.logf("session %d: state export: %v", s.id, err)
-		return false
-	}
-	info := wire.RebalanceInfo{}
-	info.SeqR, info.SeqS = exp.Seqs()
-	for i := range tuples {
-		if tuples[i].Side == stream.SideR {
-			info.TuplesR++
-		} else {
-			info.TuplesS++
-		}
-	}
-	s.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	for len(tuples) > 0 {
-		n := len(tuples)
-		if n > wire.MaxStateChunk {
-			n = wire.MaxStateChunk
-		}
-		chunk := tuples[:n]
-		tuples = tuples[n:]
-		if err := s.send(func(w *wire.Writer) error { return w.WriteStateChunk(chunk) }); err != nil {
-			s.srv.logf("session %d: writing state chunk: %v", s.id, err)
-			return false
-		}
-	}
-	if err := s.send(func(w *wire.Writer) error { return w.WriteRebalanceCommit(info) }); err != nil {
-		s.srv.logf("session %d: writing rebalance commit: %v", s.id, err)
-		return false
-	}
-	s.srv.logf("session %d: exported %d R + %d S window tuples at seqs (%d, %d)",
-		s.id, info.TuplesR, info.TuplesS, info.SeqR, info.SeqS)
-	return true
 }
 
 // sessionWindowBytes is the window-memory cost one session is accounted
@@ -546,25 +513,15 @@ func (s *session) readLoop() closeMode {
 			// session resumes streaming. On a checkpoint-less server the
 			// request degrades to a barrier acknowledgement: the state is
 			// still collected and summarized, just not persisted.
-			if _, ok := s.eng.(Snapshotter); !ok {
-				s.fail(fmt.Sprintf("engine %v does not support snapshots", s.engCfg.Engine))
-				s.srv.logf("session %d: checkpoint on a non-snapshottable engine", s.id)
-				return closeAbort
-			}
-			info, err := s.checkpointRequested()
-			if err != nil {
+			if _, err := s.shipState(true, (*wire.Writer).WriteCheckpointDone); err != nil {
 				s.fail(err.Error())
 				s.srv.logf("session %d: checkpoint: %v", s.id, err)
-				return closeAbort
-			}
-			if err := s.send(func(w *wire.Writer) error { return w.WriteCheckpointDone(info) }); err != nil {
-				s.srv.logf("session %d: writing checkpoint-done: %v", s.id, err)
 				return closeAbort
 			}
 		case wire.FrameClose:
 			return closeGraceful
 		case wire.FrameRebalancePrepare:
-			if _, ok := s.eng.(StateExporter); !ok {
+			if _, ok := s.eng.(Snapshotter); !ok {
 				s.fail(fmt.Sprintf("engine %v does not support state export", s.engCfg.Engine))
 				s.srv.logf("session %d: rebalance-prepare on a non-exportable engine", s.id)
 				return closeAbort
@@ -585,7 +542,7 @@ func (s *session) readLoop() closeMode {
 				s.srv.logf("session %d: late state chunk", s.id)
 				return closeAbort
 			}
-			tuples, err := wire.DecodeStateChunk(f.Payload)
+			tuples, err := wire.DecodeStateChunk(f.Payload, nil)
 			if err != nil {
 				s.fail(err.Error())
 				s.srv.logf("session %d: bad state chunk: %v", s.id, err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -815,19 +814,14 @@ func (r *Router) SnapshotState() ([]core.Input, uint64, uint64, error) {
 		}
 	}
 
-	// Pool the residue-class slices back into one global window image in
-	// ascending per-side sequence order (all of R, then all of S).
+	// Pool the residue-class slices back into one global window image:
+	// re-slicing under modulus 1 orders it the way every image is ordered
+	// (all of R, then all of S, ascending sequence within each side).
 	var pooled []core.Input
 	for _, sn := range snaps {
 		pooled = append(pooled, sn.tuples...)
 	}
-	sort.SliceStable(pooled, func(i, j int) bool {
-		if pooled[i].Side != pooled[j].Side {
-			return pooled[i].Side == stream.SideR
-		}
-		return pooled[i].Tuple.Seq < pooled[j].Tuple.Seq
-	})
-	return pooled, r.seqR, r.seqS, nil
+	return rebalance.Reslice(pooled, 1)[0], r.seqR, r.seqS, nil
 }
 
 // ResultsEmitted returns how many results have been forwarded into the

@@ -130,12 +130,12 @@ func TestKernelRebalanceContinuation(t *testing.T) {
 			ShardCount: oldShards,
 			ShardIndex: shard,
 		}, workload[:cut])
-		state, err := e.ExportState()
+		state, sR, sS, err := e.SnapshotState()
 		if err != nil {
 			t.Fatal(err)
 		}
 		pooled = append(pooled, state...)
-		seqR, seqS = e.Seqs()
+		seqR, seqS = sR, sS
 	}
 
 	want := suffixOracle(t, global, workload, cut)

@@ -323,19 +323,6 @@ func (e *UniFlow) ImportState(tuples []core.Input) error {
 	return nil
 }
 
-// ExportState snapshots the engine's resident window state as side-tagged
-// tuples in ascending per-side sequence order (all of R, then all of S),
-// ready for re-slicing across a new shard set. It requires a closed engine
-// — Close drains every in-flight batch first, so the snapshot sits at a
-// punctuation boundary — and tuples that were ingested with sequence
-// numbers (the wire path always stamps them; Preload does not).
-func (e *UniFlow) ExportState() ([]core.Input, error) {
-	if !e.closed {
-		return nil, fmt.Errorf("softjoin: ExportState requires a closed (drained) engine")
-	}
-	return e.collectState(), nil
-}
-
 // collectState gathers the resident window tuples of every core, sorted in
 // ascending per-side sequence order (all of R, then all of S). Callers must
 // hold the engine at a punctuation boundary: closed, or quiesced.
@@ -393,11 +380,16 @@ func (e *UniFlow) Quiesce() error {
 	return nil
 }
 
-// SnapshotState quiesces the live engine and returns its resident window
-// state (ascending per-side sequence order) together with the per-side
-// arrival counters at the boundary — everything a durable checkpoint
-// needs. Unlike ExportState it leaves the engine running; pushes may
-// resume as soon as it returns.
+// SnapshotState quiesces the engine and returns its resident window state
+// (ascending per-side sequence order, all of R then all of S) together
+// with the per-side arrival counters at the boundary: the engine's whole
+// state, since a tuple's window membership and residue class both follow
+// from its arrival index. It is the one capture path for checkpoints and
+// rebalance alike. A live engine keeps running — pushes may resume as
+// soon as it returns; on a closed engine Quiesce returns at once and the
+// image is the drained, terminal window. The tuples must have been
+// ingested with sequence numbers (the wire path always stamps them;
+// Preload does not).
 func (e *UniFlow) SnapshotState() ([]core.Input, uint64, uint64, error) {
 	if err := e.Quiesce(); err != nil {
 		return nil, 0, 0, err
@@ -410,11 +402,6 @@ func (e *UniFlow) SnapshotState() ([]core.Input, uint64, uint64, error) {
 // input consumed so far produces — the flush target a checkpointing
 // session waits on before declaring a snapshot durable.
 func (e *UniFlow) ResultsEmitted() uint64 { return e.collected.Load() }
-
-// Seqs returns the per-side arrival counters. Stable only once the single
-// producer has stopped pushing (e.g. after Close) — the punctuation
-// boundary a rebalance snapshots.
-func (e *UniFlow) Seqs() (seqR, seqS uint64) { return e.seqR, e.seqS }
 
 // Start launches the distributor, the join cores, and the result gatherer.
 func (e *UniFlow) Start() error {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"accelstream/internal/core"
@@ -370,8 +371,8 @@ func (w *Writer) WriteError(msg string) error {
 	return w.writeFrame(FrameError, []byte(msg))
 }
 
-// stateTupleWireMax is the widest encoding of one StateChunk tuple: side
-// byte, key, val, and a maximal sequence uvarint.
+// stateTupleWireMax is the widest encoding of one state tuple: side byte,
+// key, val, and a maximal sequence uvarint.
 const stateTupleWireMax = tupleWire + binary.MaxVarintLen64
 
 // WriteRebalancePrepare emits a RebalancePrepare (quiesce-and-export
@@ -382,25 +383,47 @@ func (w *Writer) WriteRebalancePrepare() error {
 	return w.writeFrame(FrameRebalancePrepare, nil)
 }
 
-// WriteStateChunk emits a StateChunk frame: a uvarint tuple count followed
-// by side-tagged tuples that, unlike Batch tuples, carry their per-side
-// arrival sequence numbers — the residue class and window position of a
-// migrated tuple are both functions of its arrival index, so the receiver
-// needs it to re-slice correctly.
+// AppendStateChunk appends the state-chunk encoding of tuples to b: a
+// uvarint tuple count, then per tuple its side byte, key and val as
+// little-endian u32s, and its per-side arrival sequence number as a
+// uvarint. Unlike Batch tuples, state tuples carry their sequence numbers:
+// the residue class and window position of a migrated or restored tuple
+// are both functions of its arrival index. This is the one window-state
+// tuple codec: StateChunk frames carry it, and checkpoint files store
+// their state sections in it, which is why it is little-endian where the
+// rest of the wire protocol is big-endian.
+func AppendStateChunk(b []byte, tuples []core.Input) []byte {
+	b = appendUvarint(b, uint64(len(tuples)))
+	for i := range tuples {
+		b = append(b, byte(tuples[i].Side))
+		b = binary.LittleEndian.AppendUint32(b, tuples[i].Tuple.Key)
+		b = binary.LittleEndian.AppendUint32(b, tuples[i].Tuple.Val)
+		b = appendUvarint(b, tuples[i].Tuple.Seq)
+	}
+	return b
+}
+
+// WriteStateChunk emits one StateChunk frame of at most MaxStateChunk
+// tuples (see AppendStateChunk for the payload).
 func (w *Writer) WriteStateChunk(tuples []core.Input) error {
 	if len(tuples) > MaxStateChunk {
 		return fmt.Errorf("wire: state chunk of %d tuples exceeds limit %d", len(tuples), MaxStateChunk)
 	}
-	b := w.scratch(binary.MaxVarintLen64 + len(tuples)*stateTupleWireMax)
-	b = appendUvarint(b, uint64(len(tuples)))
-	for i := range tuples {
-		b = append(b, byte(tuples[i].Side))
-		b = appendU32(b, tuples[i].Tuple.Key)
-		b = appendU32(b, tuples[i].Tuple.Val)
-		b = appendUvarint(b, tuples[i].Tuple.Seq)
+	w.buf = AppendStateChunk(w.scratch(binary.MaxVarintLen64+len(tuples)*stateTupleWireMax), tuples)
+	return w.writeFrame(FrameStateChunk, w.buf)
+}
+
+// WriteState emits a whole window image as consecutive StateChunk frames
+// of at most MaxStateChunk tuples each; an empty image writes no frame.
+func (w *Writer) WriteState(tuples []core.Input) error {
+	for len(tuples) > 0 {
+		n := min(len(tuples), MaxStateChunk)
+		if err := w.WriteStateChunk(tuples[:n]); err != nil {
+			return err
+		}
+		tuples = tuples[n:]
 	}
-	w.buf = b
-	return w.writeFrame(FrameStateChunk, b)
+	return nil
 }
 
 // WriteRebalanceCommit emits a RebalanceCommit frame carrying the transfer
@@ -508,6 +531,20 @@ func (c *cursor) u32() uint32 {
 		return 0
 	}
 	v := binary.BigEndian.Uint32(c.b[c.off:])
+	c.off += 4
+	return v
+}
+
+// u32le reads a little-endian u32, the byte order of state tuples.
+func (c *cursor) u32le() uint32 {
+	if c.err != nil {
+		return 0
+	}
+	if c.off+4 > len(c.b) {
+		c.err = fmt.Errorf("wire: truncated u32 at offset %d", c.off)
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(c.b[c.off:])
 	c.off += 4
 	return v
 }
@@ -859,33 +896,31 @@ func DecodeResults(payload []byte) ([]stream.Result, error) {
 	return results, nil
 }
 
-// DecodeStateChunk parses a StateChunk payload into a fresh slice of
-// side-tagged tuples with their arrival sequence numbers.
-func DecodeStateChunk(payload []byte) ([]core.Input, error) {
+// DecodeStateChunk parses a state-chunk payload (see AppendStateChunk),
+// appending its tuples to dst. The count is bounded by MaxStateChunk and
+// by the payload length before anything is allocated.
+func DecodeStateChunk(payload []byte, dst []core.Input) ([]core.Input, error) {
 	c := cursor{b: payload}
 	n := c.uvarint()
 	if c.err == nil && n > MaxStateChunk {
-		return nil, fmt.Errorf("wire: state chunk of %d tuples exceeds limit %d", n, MaxStateChunk)
+		return dst, fmt.Errorf("wire: state chunk of %d tuples exceeds limit %d", n, MaxStateChunk)
 	}
 	// Each tuple occupies at least tupleWire+1 bytes (one-byte seq uvarint).
 	if c.err == nil && n*(tupleWire+1) > uint64(len(payload)) {
-		return nil, fmt.Errorf("wire: state chunk count %d exceeds payload", n)
+		return dst, fmt.Errorf("wire: state chunk count %d exceeds payload", n)
 	}
-	tuples := make([]core.Input, 0, n)
+	dst = slices.Grow(dst, int(n))
 	for i := uint64(0); i < n && c.err == nil; i++ {
 		side := stream.Side(c.byte())
-		key := c.u32()
-		val := c.u32()
+		key := c.u32le()
+		val := c.u32le()
 		seq := c.uvarint()
 		if side != stream.SideR && side != stream.SideS {
-			return nil, fmt.Errorf("wire: invalid tuple side %d in state chunk", side)
+			return dst, fmt.Errorf("wire: invalid tuple side %d in state chunk", side)
 		}
-		tuples = append(tuples, core.Input{Side: side, Tuple: stream.Tuple{Key: key, Val: val, Seq: seq}})
+		dst = append(dst, core.Input{Side: side, Tuple: stream.Tuple{Key: key, Val: val, Seq: seq}})
 	}
-	if err := c.finish(); err != nil {
-		return nil, err
-	}
-	return tuples, nil
+	return dst, c.finish()
 }
 
 // DecodeRebalanceCommit parses a RebalanceCommit payload.

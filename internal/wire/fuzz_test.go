@@ -235,7 +235,7 @@ func FuzzDecodeControl(f *testing.F) {
 			t.Fatalf("DecodeCredit accepted out-of-range grant %d", n)
 		}
 		DecodeClosed(payload)
-		if tuples, err := DecodeStateChunk(payload); err == nil {
+		if tuples, err := DecodeStateChunk(payload, nil); err == nil {
 			if len(tuples) > MaxStateChunk {
 				t.Fatalf("DecodeStateChunk accepted %d tuples beyond MaxStateChunk", len(tuples))
 			}
@@ -247,7 +247,7 @@ func FuzzDecodeControl(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tuples2, err := DecodeStateChunk(frame.Payload)
+			tuples2, err := DecodeStateChunk(frame.Payload, nil)
 			if err != nil || len(tuples2) != len(tuples) {
 				t.Fatalf("state chunk round trip diverged: %d→%d tuples, err=%v", len(tuples), len(tuples2), err)
 			}

@@ -92,9 +92,11 @@ const (
 	FrameRebalancePrepare
 	// FrameStateChunk (either direction) carries a slice of sliding-window
 	// state: side-tagged tuples with their per-side arrival sequence
-	// numbers. Server → client it is the export path after a
-	// RebalancePrepare; client → server it installs state into a freshly
-	// opened session before its first Batch frame.
+	// numbers, in the checkpoint file's little-endian state-section
+	// encoding (AppendStateChunk). Server → client it carries the window
+	// image cut for a RebalancePrepare or a Checkpoint; client → server it
+	// installs state into a freshly opened session before its first Batch
+	// frame.
 	FrameStateChunk
 	// FrameRebalanceCommit (either direction) ends a state transfer with
 	// per-side tuple counts and arrival counters. On the export path the
@@ -410,8 +412,9 @@ func (c OpenConfig) Validate() error {
 	return nil
 }
 
-// MaxStateChunk bounds the tuples carried by one StateChunk frame, so a
-// window migration is paced in frames that stay far below MaxPayload.
+// MaxStateChunk bounds the tuples of one state chunk — a StateChunk frame
+// or a checkpoint file's state section — so a window image moves in
+// chunks that stay far below MaxPayload.
 const MaxStateChunk = 8192
 
 // RebalanceInfo summarizes one side of a window-state transfer: how many

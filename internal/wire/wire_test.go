@@ -234,7 +234,7 @@ func TestRebalanceFrameRoundTrips(t *testing.T) {
 		if f.Type != FrameStateChunk {
 			t.Fatalf("frame type %v, want state-chunk", f.Type)
 		}
-		got, err := DecodeStateChunk(f.Payload)
+		got, err := DecodeStateChunk(f.Payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestStateChunkLimits(t *testing.T) {
 	}
 	// A count prefix larger than the payload could possibly hold.
 	payload := []byte{0xFF, 0x01} // uvarint 255, no tuple bytes
-	if _, err := DecodeStateChunk(payload); err == nil {
+	if _, err := DecodeStateChunk(payload, nil); err == nil {
 		t.Fatal("DecodeStateChunk accepted a lying count prefix")
 	}
 	// A count prefix beyond MaxStateChunk is rejected before allocation.
@@ -284,7 +284,7 @@ func TestStateChunkLimits(t *testing.T) {
 		huge[n] = b
 		n++
 	}
-	if _, err := DecodeStateChunk(huge[:n]); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if _, err := DecodeStateChunk(huge[:n], nil); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("DecodeStateChunk on oversized count: err=%v", err)
 	}
 	// Invalid tuple side.
@@ -298,7 +298,7 @@ func TestStateChunkLimits(t *testing.T) {
 	}
 	bad := append([]byte(nil), f.Payload...)
 	bad[1] = 9 // first tuple's side byte
-	if _, err := DecodeStateChunk(bad); err == nil {
+	if _, err := DecodeStateChunk(bad, nil); err == nil {
 		t.Fatal("DecodeStateChunk accepted an invalid side byte")
 	}
 }
@@ -320,7 +320,7 @@ func TestStateChunkCorruptionDetected(t *testing.T) {
 			continue
 		}
 		if f.Type == FrameStateChunk {
-			if _, derr := DecodeStateChunk(f.Payload); derr == nil {
+			if _, derr := DecodeStateChunk(f.Payload, nil); derr == nil {
 				t.Fatalf("state-chunk corruption at byte %d went undetected", pos)
 			}
 		}
