@@ -24,10 +24,11 @@ test:
 	$(GO) test ./...
 
 # The race detector sweep focuses on the concurrent subsystems: the
-# network service (sessions, credits, drain), the shard router, and the
-# software engines.
+# network service (sessions, credits, drain), the shard router, the
+# software engines, and streamshard's router engine, which hands the
+# router's result batches straight to its sessions.
 test-race:
-	$(GO) test -race ./internal/server/... ./internal/shard/... ./internal/wire/... ./internal/softjoin/...
+	$(GO) test -race ./internal/server/... ./internal/shard/... ./internal/wire/... ./internal/softjoin/... ./cmd/streamshard/
 
 # The secured-wire suite: TLS round trips, auth-token rejection, TLS/
 # plaintext mismatch handling, and the secured shard redial — across the

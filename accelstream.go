@@ -50,6 +50,10 @@ const (
 // Result is one join result: an R tuple paired with an S tuple.
 type Result = stream.Result
 
+// ResultBatch is a pooled batch of results: the unit a session engine's
+// result stream carries. Whoever receives one calls Release when done.
+type ResultBatch = stream.ResultBatch
+
 // Input is one tuple arrival (a tuple tagged with its stream).
 type Input = core.Input
 

@@ -104,7 +104,11 @@ func (e *routerEngine) Start() error { return nil }
 func (e *routerEngine) PushBatch(batch []accelstream.Input) error {
 	return e.r.SendBatch(batch)
 }
-func (e *routerEngine) Results() <-chan accelstream.Result { return e.r.Results() }
+
+// ResultBatches passes the router's merged batch stream through as is:
+// the session writes each shard frame's batch straight back out.
+func (e *routerEngine) ResultBatches() <-chan *accelstream.ResultBatch { return e.r.ResultBatches() }
+func (e *routerEngine) ResultsEmitted() uint64                         { return e.r.ResultsEmitted() }
 func (e *routerEngine) Close() error {
 	// Unregister first: remove blocks while a resize holds the registry,
 	// so the router is never closed under a rebalance in flight.
@@ -112,7 +116,6 @@ func (e *routerEngine) Close() error {
 	_, err := e.r.Close()
 	return err
 }
-func (e *routerEngine) Backlog() int { return e.r.Backlog() }
 
 // The router implements the server's optional Snapshotter and
 // StateImporter capabilities, so a streamshard deployment checkpoints and
@@ -122,7 +125,6 @@ func (e *routerEngine) Backlog() int { return e.r.Backlog() }
 func (e *routerEngine) SnapshotState() ([]accelstream.Input, uint64, uint64, error) {
 	return e.r.SnapshotState()
 }
-func (e *routerEngine) ResultsEmitted() uint64 { return e.r.ResultsEmitted() }
 func (e *routerEngine) ImportState(tuples []accelstream.Input) error {
 	return e.r.ImportState(tuples)
 }

@@ -21,8 +21,9 @@ func NewTracer(w io.Writer) *Tracer { return hwsim.NewTracer(w) }
 type SoftwareConfig = softjoin.Config
 
 // SoftwareUniFlow is the software SplitJoin engine (Figure 14d / 16 of the
-// paper): a distributor goroutine, independent join-core goroutines with
-// round-robin sub-window storage, and a result-gathering stage.
+// paper): a distributor goroutine and independent join-core goroutines
+// with round-robin sub-window storage, each handing its results for a
+// batch onto the shared result stream in one burst.
 type SoftwareUniFlow = softjoin.UniFlow
 
 // NewSoftwareUniFlow builds (but does not start) a software SplitJoin.

@@ -118,7 +118,7 @@ func (s *session) cutSnapshot() ([]core.Input, wire.RebalanceInfo, error) {
 	// reach the connection before the snapshot can be trusted — a client
 	// that resumes from it replays only the post-snapshot suffix and would
 	// otherwise silently lose results.
-	s.flushResults(snap.ResultsEmitted())
+	s.flushResults(s.eng.ResultsEmitted())
 
 	info := wire.RebalanceInfo{SeqR: seqR, SeqS: seqS}
 	for i := range tuples {

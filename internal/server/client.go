@@ -56,16 +56,20 @@ func (e *AdmissionError) Unwrap() error { return ErrAdmissionDenied }
 
 // Client is one session against a network-attached stream-join server.
 // SendBatch may be called from one producer goroutine while another
-// goroutine drains Results; Close flushes the session and returns the
-// server's final statistics.
+// goroutine drains ResultBatches (or Results); Close flushes the session
+// and returns the server's final statistics.
 type Client struct {
 	conn net.Conn
 
 	wmu sync.Mutex
 	w   *wire.Writer
 
-	credits    chan struct{}
-	results    chan stream.Result
+	credits chan struct{}
+	// batches carries one decoded Results frame per element; buffering
+	// four lets the reader keep decoding while the consumer works through
+	// the frames ahead of it.
+	batches    chan *stream.ResultBatch
+	perResult  stream.Unbatcher
 	readerDone chan struct{}
 
 	mu        sync.Mutex
@@ -93,7 +97,7 @@ type Client struct {
 	// the checkpoint's arrival counters for the client to replay from.
 	resumeAck wire.OpenAck
 
-	// resultsRecv counts results delivered into the Results channel; a
+	// resultsRecv counts results delivered into the result stream; a
 	// shard router's coordinated snapshot uses it as its flush target.
 	resultsRecv atomic.Uint64
 
@@ -179,7 +183,7 @@ func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, erro
 	c := &Client{
 		conn:       conn,
 		w:          wire.NewWriter(conn),
-		results:    make(chan stream.Result, 4096),
+		batches:    make(chan *stream.ResultBatch, 4),
 		readerDone: make(chan struct{}),
 		baseSeqR:   cfg.BaseSeqR,
 		baseSeqS:   cfg.BaseSeqS,
@@ -306,9 +310,15 @@ func (c *Client) SendBatch(batch []core.Input) error {
 	return nil
 }
 
-// Results returns the stream of join results. The channel closes when the
-// session ends (after Close's drain completes, or on a fatal error).
-func (c *Client) Results() <-chan stream.Result { return c.results }
+// ResultBatches returns the stream of join results, one pooled batch per
+// Results frame; the consumer releases each batch when done with it. The
+// channel closes when the session ends (after Close's drain completes, or
+// on a fatal error).
+func (c *Client) ResultBatches() <-chan *stream.ResultBatch { return c.batches }
+
+// Results returns the same stream one result at a time. Use it instead of
+// ResultBatches, not alongside.
+func (c *Client) Results() <-chan stream.Result { return c.perResult.Results(c.batches) }
 
 // Close gracefully drains the session: it sends the Close frame, waits
 // for the server to flush all in-flight work and report its final
@@ -433,9 +443,9 @@ func (c *Client) Resumed() (seqR, seqS uint64, ok bool) {
 }
 
 // ResultsReceived returns how many results have been delivered into the
-// Results channel. After Checkpoint returns, this count is exact for the
+// result stream. After Checkpoint returns, this count is exact for the
 // pre-checkpoint input: results frames are ordered before the
-// CheckpointDone frame on the wire, so a consumer that drains Results
+// CheckpointDone frame on the wire, so a consumer that drains the stream
 // can use the count as a flush barrier.
 func (c *Client) ResultsReceived() uint64 { return c.resultsRecv.Load() }
 
@@ -503,7 +513,7 @@ func (c *Client) BatchRTT() (avg, max time.Duration, samples uint64) {
 // session-ending Closed/Error frames all arrive here.
 func (c *Client) readLoop(r *wire.Reader) {
 	defer close(c.readerDone)
-	defer close(c.results)
+	defer close(c.batches)
 	for {
 		f, err := r.ReadFrame()
 		if err != nil {
@@ -512,17 +522,17 @@ func (c *Client) readLoop(r *wire.Reader) {
 		}
 		switch f.Type {
 		case wire.FrameResults:
-			results, err := wire.DecodeResults(f.Payload)
+			b := stream.GetResultBatch()
+			b.Items, err = wire.DecodeResultsInto(f.Payload, b.Items)
 			if err != nil {
 				c.setErr(err)
 				return
 			}
-			for _, res := range results {
-				c.results <- res
-				// Counted after the hand-off: a coordinated-snapshot flush
-				// barrier reads this as "delivered into the channel".
-				c.resultsRecv.Add(1)
-			}
+			n := len(b.Items)
+			c.batches <- b
+			// Counted after the hand-off: a coordinated-snapshot flush
+			// barrier reads this as "delivered into the channel".
+			c.resultsRecv.Add(uint64(n))
 		case wire.FrameCredit:
 			n, err := wire.DecodeCredit(f.Payload)
 			if err != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"accelstream/internal/core"
 	"accelstream/internal/hwjoin"
@@ -17,16 +18,26 @@ import (
 // blocks under engine backpressure; it must NOT retain the batch slice
 // after returning — the session decodes every frame into one persistent
 // buffer and reuses it immediately (copy the batch if the implementation
-// needs it beyond the call). Results is closed after Close once all
-// in-flight work has drained. Config.NewEngine lets an embedder substitute
-// its own implementation (the shard router daemon serves a whole cluster
-// behind this interface).
+// needs it beyond the call).
+//
+// ResultBatches is the engine's result stream, one channel operation per
+// batch of results. The session owns each batch it receives: it writes the
+// batch to the connection as Results frames and then calls Release, so the
+// engine must not touch a batch after sending it (the mirror of the
+// no-retain rule for input). The channel is closed after Close once all
+// in-flight work has drained. ResultsEmitted counts the results sent on
+// that channel so far, counted after each hand-off: the session derives
+// its undelivered backlog from it, and its snapshot flush barrier relies
+// on the count being exact once SnapshotState returns.
+//
+// Config.NewEngine lets an embedder substitute its own implementation
+// (the shard router daemon serves a whole cluster behind this interface).
 type Engine interface {
 	Start() error
 	PushBatch(batch []core.Input) error
-	Results() <-chan stream.Result
+	ResultBatches() <-chan *stream.ResultBatch
+	ResultsEmitted() uint64
 	Close() error
-	Backlog() int
 }
 
 // StateImporter is the optional engine capability behind the rebalance
@@ -43,15 +54,13 @@ type StateImporter interface {
 // the resident window state (ascending per-side sequence order, R before
 // S) with the per-side arrival counters at the boundary, and leaves a
 // live engine running; on a closed engine it returns the drained,
-// terminal state at once. ResultsEmitted reports how many results have
-// been handed to the Results channel — at the quiesce boundary that count
-// is exact, so a session can wait until every pre-snapshot result has
+// terminal state at once. At that boundary Engine.ResultsEmitted is
+// exact, so a session can wait until every pre-snapshot result has
 // reached the connection before shipping or persisting the image. A
 // session honors FrameCheckpoint, FrameRebalancePrepare and the automatic
 // checkpoint interval only when its engine implements this.
 type Snapshotter interface {
 	SnapshotState() (tuples []core.Input, seqR, seqS uint64, err error)
-	ResultsEmitted() uint64
 }
 
 // buildEngine instantiates the engine a session requested.
@@ -97,16 +106,15 @@ type kernelReporter interface {
 	Kernel() stream.ProbeKernel
 }
 
-// uniEngine adapts softjoin.UniFlow. Kernel() is promoted from the
-// embedded engine, so uniEngine satisfies kernelReporter.
+// uniEngine adapts softjoin.UniFlow. ResultBatches, ResultsEmitted and
+// Kernel are promoted from the embedded engine, so uniEngine also
+// satisfies kernelReporter.
 type uniEngine struct{ *softjoin.UniFlow }
 
 func (e *uniEngine) PushBatch(batch []core.Input) error {
 	e.UniFlow.PushBatch(batch)
 	return nil
 }
-
-func (e *uniEngine) Backlog() int { return len(e.UniFlow.Results()) }
 
 // biEngine adapts softjoin.BiFlow, whose ingest API is per tuple.
 type biEngine struct{ *softjoin.BiFlow }
@@ -118,28 +126,30 @@ func (e *biEngine) PushBatch(batch []core.Input) error {
 	return nil
 }
 
-func (e *biEngine) Backlog() int { return len(e.BiFlow.Results()) }
+func (e *biEngine) ResultsEmitted() uint64 { return e.Collected() }
 
 // simEngine adapts the cycle-level simulated uni-flow FPGA design to the
 // streaming interface: each pushed batch is queued onto the simulated
 // ingress bus, the design is stepped to quiescence, and the sink's newly
-// drained results are forwarded. Processing is synchronous in the caller
-// (one bus word per simulated cycle), which is why the wire protocol caps
-// the simulated engine's window size.
+// drained results are forwarded as one batch. Processing is synchronous
+// in the caller (one bus word per simulated cycle), which is why the wire
+// protocol caps the simulated engine's window size.
 type simEngine struct {
-	design    *hwjoin.UniFlowDesign
-	queue     []hwjoin.Flit
-	results   chan stream.Result
-	forwarded int
-	seqR      uint64
-	seqS      uint64
-	closed    bool
-	cycleCap  uint64 // per-tuple quiescence budget
+	design   *hwjoin.UniFlowDesign
+	queue    []hwjoin.Flit
+	results  chan *stream.ResultBatch
+	emitted  atomic.Uint64 // sink results forwarded; also read by metrics scrapes
+	seqR     uint64
+	seqS     uint64
+	closed   bool
+	cycleCap uint64 // per-tuple quiescence budget
 }
 
 func newSimEngine(cores, window int) (*simEngine, error) {
 	e := &simEngine{
-		results: make(chan stream.Result, 1024),
+		// One batch per drain: buffering one lets the next pushed batch
+		// simulate while the session writes the previous one.
+		results: make(chan *stream.ResultBatch, 1),
 	}
 	d, err := hwjoin.BuildUniFlow(hwjoin.UniFlowConfig{
 		NumCores:   cores,
@@ -187,20 +197,27 @@ func (e *simEngine) PushBatch(batch []core.Input) error {
 	return e.drain(uint64(len(batch))*e.cycleCap + 4096)
 }
 
-// drain steps the simulation until quiescent and forwards new results.
+// drain steps the simulation until quiescent and forwards the new results
+// as one batch.
 func (e *simEngine) drain(budget uint64) error {
 	e.design.Source().Reopen()
 	if _, err := e.design.RunToQuiescence(budget); err != nil {
 		return fmt.Errorf("server: simulated engine did not quiesce: %w", err)
 	}
-	all := e.design.Sink().Results()
-	for ; e.forwarded < len(all); e.forwarded++ {
-		e.results <- all[e.forwarded] // blocks: engine backpressure
+	fresh := e.design.Sink().Results()[e.emitted.Load():]
+	if len(fresh) == 0 {
+		return nil
 	}
+	b := stream.GetResultBatch()
+	b.Items = append(b.Items, fresh...)
+	e.results <- b // blocks: engine backpressure
+	e.emitted.Add(uint64(len(fresh)))
 	return nil
 }
 
-func (e *simEngine) Results() <-chan stream.Result { return e.results }
+func (e *simEngine) ResultBatches() <-chan *stream.ResultBatch { return e.results }
+
+func (e *simEngine) ResultsEmitted() uint64 { return e.emitted.Load() }
 
 func (e *simEngine) Close() error {
 	if e.closed {
@@ -211,5 +228,3 @@ func (e *simEngine) Close() error {
 	close(e.results)
 	return err
 }
-
-func (e *simEngine) Backlog() int { return len(e.results) }

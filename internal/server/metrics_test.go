@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"accelstream/internal/core"
 	"accelstream/internal/stream"
 	"accelstream/internal/wire"
 	"accelstream/internal/workload"
@@ -175,5 +176,83 @@ func TestNewEngineFactory(t *testing.T) {
 	}
 	if len(results) == 0 {
 		t.Error("no results through factory-built engine")
+	}
+}
+
+// TestMetricsScrapeDuringStreaming: scraping /metrics while results stream
+// must not disturb delivery. The backlog gauge is derived from counters
+// (results the engine emitted minus results written), never by touching
+// the engine's result stream, so the session still delivers every result
+// oracle-equal, and once all of them are written the gauge reads zero.
+func TestMetricsScrapeDuringStreaming(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		open   wire.OpenConfig
+		tuples int
+	}{
+		{"uni", wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 2, Window: 128}, 6000},
+		{"sim", wire.OpenConfig{Engine: wire.EngineSimUni, Cores: 2, Window: 32}, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, Config{})
+			c, err := Dial(addr, tc.open)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := workload.NewGenerator(workload.Spec{Seed: 17, KeyDomain: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs := gen.Take(tc.tuples)
+			oracle, err := core.NewOracle(tc.open.Window, stream.EquiJoinOnKey())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracle.Run(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var results []stream.Result
+			done := make(chan struct{})
+			go drainAll(c, &results, done)
+
+			stop := make(chan struct{})
+			scrapes := make(chan int)
+			go func() {
+				n := 0
+				for {
+					select {
+					case <-stop:
+						scrapes <- n
+						return
+					default:
+					}
+					rec := httptest.NewRecorder()
+					srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+					n++
+					time.Sleep(200 * time.Microsecond)
+				}
+			}()
+			for off := 0; off < len(inputs); off += 50 {
+				if err := c.SendBatch(inputs[off:min(off+50, len(inputs))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "every result written and the backlog drained", func() bool {
+				ms := srv.Metrics()
+				return len(ms) == 1 && ms[0].ResultsOut == uint64(len(want)) && ms[0].Backlog == 0
+			})
+			close(stop)
+			if n := <-scrapes; n == 0 {
+				t.Fatal("no scrape ran during the stream")
+			}
+			if _, err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			<-done
+			if err := core.VerifyExactlyOnce(tc.open.Window, stream.EquiJoinOnKey(), inputs, results); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -27,15 +27,19 @@ import (
 // the next live session, degrading exactly like the shard router does.
 // Undelivered results of a lost session are gone with it.
 //
-// SendBatch is single-producer; Results must be drained concurrently
-// until the channel closes (after Close), exactly like Client.
+// SendBatch is single-producer; ResultBatches (or Results) must be drained
+// concurrently until the channel closes (after Close), exactly like
+// Client.
 type ClientPool struct {
 	addr string
 	open wire.OpenConfig
 	opts DialOptions
 
-	merged  chan stream.Result
-	drainWG sync.WaitGroup
+	// merged buffers a few frames' worth of batches, as each client's own
+	// stream does, so a drain rarely waits on the consumer.
+	merged    chan *stream.ResultBatch
+	perResult stream.Unbatcher
+	drainWG   sync.WaitGroup
 
 	mu       sync.Mutex
 	conns    []*Client // nil entry: slot permanently down
@@ -58,7 +62,7 @@ func DialPool(addr string, conns int, cfg wire.OpenConfig, opts DialOptions) (*C
 		addr:   addr,
 		open:   cfg,
 		opts:   opts,
-		merged: make(chan stream.Result, 4096),
+		merged: make(chan *stream.ResultBatch, 4),
 		conns:  make([]*Client, conns),
 	}
 	for i := range p.conns {
@@ -90,15 +94,15 @@ func (p *ClientPool) logfLocked(format string, args ...any) {
 	}
 }
 
-// spawnDrain merges one session's results into the pool stream; each
-// (re)dialed session gets its own drain goroutine, exiting when the
-// session's result channel closes.
+// spawnDrain merges one session's result batches, whole, into the pool
+// stream; each (re)dialed session gets its own drain goroutine, exiting
+// when the session's result stream closes.
 func (p *ClientPool) spawnDrain(c *Client) {
 	p.drainWG.Add(1)
 	go func() {
 		defer p.drainWG.Done()
-		for res := range c.Results() {
-			p.merged <- res
+		for b := range c.ResultBatches() {
+			p.merged <- b
 		}
 	}()
 }
@@ -139,9 +143,14 @@ func (p *ClientPool) Credits() int {
 	return n
 }
 
-// Results returns the merged result stream of all sessions. It closes
-// after Close has drained every session.
-func (p *ClientPool) Results() <-chan stream.Result { return p.merged }
+// ResultBatches returns the merged result stream of all sessions, one
+// pooled batch per Results frame; the consumer releases each batch when
+// done with it. It closes after Close has drained every session.
+func (p *ClientPool) ResultBatches() <-chan *stream.ResultBatch { return p.merged }
+
+// Results returns the merged stream one result at a time. Use it instead
+// of ResultBatches, not alongside.
+func (p *ClientPool) Results() <-chan stream.Result { return p.perResult.Results(p.merged) }
 
 // SendBatch ships one batch to the next session round-robin, blocking
 // on that session's credit window. A session lost mid-send is replaced

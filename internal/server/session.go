@@ -33,9 +33,10 @@ type SessionMetrics struct {
 	ResultsOut uint64
 	// ResultFrames counts Results frames written; with ResultsOut it
 	// forms a histogram-style sum/count pair whose ratio is the mean
-	// coalesced frame size.
+	// frame size.
 	ResultFrames uint64
-	// Backlog is the engine's undelivered-result queue depth.
+	// Backlog counts results the engine has emitted that have not yet been
+	// written to the connection.
 	Backlog int
 	// AvgBatchLatency / MaxBatchLatency measure frame-decode to
 	// engine-accept time (the interval the batch's credit is withheld).
@@ -111,7 +112,7 @@ func writeErrorFrame(w io.Writer, msg string) {
 	wire.NewWriter(w).WriteError(msg)
 }
 
-// sendLocked serializes one frame write under the session write lock.
+// send serializes one frame write under the session write lock.
 func (s *session) send(f func(*wire.Writer) error) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -141,8 +142,10 @@ func (s *session) metrics() SessionMetrics {
 		if kr, ok := s.eng.(kernelReporter); ok {
 			m.Kernel = kr.Kernel().String()
 		}
-		if m.Open {
-			m.Backlog = s.eng.Backlog()
+		// The engine counts a batch after handing it over, so its count
+		// can briefly trail what the pump has already written.
+		if emitted := s.eng.ResultsEmitted(); m.Open && emitted > m.ResultsOut {
+			m.Backlog = int(emitted - m.ResultsOut)
 		}
 	}
 	return m
@@ -205,8 +208,7 @@ func (s *session) run() {
 	s.srv.logf("session %d: open from %s (%v, %d cores, window %d, tenant %s)",
 		s.id, s.conn.RemoteAddr(), s.engCfg.Engine, s.engCfg.Cores, s.engCfg.Window, s.lease.Tenant())
 
-	// Writer: stream engine results back, coalescing whatever is ready
-	// into one Results frame per write.
+	// Writer: stream engine result batches back as Results frames.
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -607,54 +609,33 @@ func isTimeout(err error) bool {
 	return ok && ne.Timeout()
 }
 
+// maxResultsPerFrame caps one Results frame; a larger engine batch goes
+// out as several frames.
 const maxResultsPerFrame = 1024
 
-// resultFramePool shares coalescing buffers across every session, so an
-// idle session does not pin a full frame's worth of results and a busy one
-// recycles a warm buffer per frame.
-var resultFramePool = sync.Pool{
-	New: func() any {
-		s := make([]stream.Result, 0, maxResultsPerFrame)
-		return &s
-	},
-}
-
-// pumpResults drains the engine's result channel into Results frames,
-// coalescing ready results up to maxResultsPerFrame per write into a
-// pooled buffer. On a write failure it keeps draining (discarding) so
-// engine Close can complete.
+// pumpResults writes each engine result batch to the connection as
+// Results frames of at most maxResultsPerFrame results, then releases the
+// batch. On a write failure it keeps draining (discarding) so engine
+// Close can complete.
 func (s *session) pumpResults() {
-	results := s.eng.Results()
 	writeOK := true
-	for r := range results {
-		bufp := resultFramePool.Get().(*[]stream.Result)
-		batch := append((*bufp)[:0], r)
-		// Coalesce whatever else is immediately available.
-	coalesce:
-		for len(batch) < maxResultsPerFrame {
-			select {
-			case r2, ok := <-results:
-				if !ok {
-					break coalesce
+	for b := range s.eng.ResultBatches() {
+		for items := b.Items; len(items) > 0; {
+			frame := items[:min(len(items), maxResultsPerFrame)]
+			items = items[len(frame):]
+			if writeOK {
+				if err := s.send(func(w *wire.Writer) error { return w.WriteResults(frame) }); err != nil {
+					s.srv.logf("session %d: writing results: %v", s.id, err)
+					writeOK = false
 				}
-				batch = append(batch, r2)
-			default:
-				break coalesce
 			}
+			// Counted after the write: the checkpoint durability barrier
+			// (flushResults) reads resultsOut as "handed to the connection".
+			// Still counted when the write failed or was skipped, so the
+			// barrier terminates on a dead connection.
+			s.resultsOut.Add(uint64(len(frame)))
+			s.resultFrames.Add(1)
 		}
-		if writeOK {
-			if err := s.send(func(w *wire.Writer) error { return w.WriteResults(batch) }); err != nil {
-				s.srv.logf("session %d: writing results: %v", s.id, err)
-				writeOK = false
-			}
-		}
-		// Counted after the write: the checkpoint durability barrier
-		// (flushResults) reads resultsOut as "handed to the connection".
-		// Still counted when the write failed or was skipped, so the
-		// barrier terminates on a dead connection.
-		s.resultsOut.Add(uint64(len(batch)))
-		s.resultFrames.Add(1)
-		*bufp = batch[:0]
-		resultFramePool.Put(bufp)
+		b.Release()
 	}
 }

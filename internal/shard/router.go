@@ -22,12 +22,16 @@ import (
 // merged result stream is the disjoint union of the shards' outputs and
 // matches the single-engine oracle without deduplication.
 //
-// SendBatch is single-producer; Results must be drained concurrently
-// until the channel closes (after Close), exactly like server.Client.
+// SendBatch is single-producer; ResultBatches (or Results) must be
+// drained concurrently until the channel closes (after Close), exactly
+// like server.Client.
 type Router struct {
 	cfg    Config
 	shards []*shardConn
-	merged chan stream.Result
+	// merged buffers a few frames' worth of batches, as each client's own
+	// stream does, so a shard drain rarely waits on the consumer.
+	merged    chan *stream.ResultBatch
+	perResult stream.Unbatcher
 
 	// seqR/seqS are the global per-side arrival counters: every batch is
 	// enqueued with the counter values at its front, which become the
@@ -108,7 +112,7 @@ type shardConn struct {
 }
 
 // drainState is one drain goroutine's progress: results forwarded into
-// the merged channel from one client session.
+// the merged stream from one client session, advanced once per batch.
 type drainState struct {
 	client    *server.Client
 	forwarded atomic.Uint64
@@ -153,7 +157,7 @@ func Dial(cfg Config) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Router{cfg: cfg, merged: make(chan stream.Result, 4096)}
+	r := &Router{cfg: cfg, merged: make(chan *stream.ResultBatch, 4)}
 	// Build (and thereby validate) the autoscale controller before any
 	// connection is opened, so a bad policy fails the Dial outright.
 	if cfg.Autoscale != nil {
@@ -349,23 +353,24 @@ func (r *Router) logf(format string, args ...any) {
 	}
 }
 
-// spawnDrain merges one client session's results into the router stream.
-// Each (re)dialed client gets its own drain goroutine; it exits when the
-// client's result channel closes.
+// spawnDrain merges one client session's result batches, whole, into the
+// router stream. Each (re)dialed client gets its own drain goroutine; it
+// exits when the client's result stream closes.
 func (r *Router) spawnDrain(sc *shardConn, c *server.Client) {
 	ds := &drainState{client: c}
 	sc.drain.Store(ds)
 	r.drainWG.Add(1)
 	go func() {
 		defer r.drainWG.Done()
-		for res := range c.Results() {
-			r.merged <- res
+		for b := range c.ResultBatches() {
+			n := uint64(len(b.Items))
+			r.merged <- b
 			// Counted after the hand-off, forwarded last: when the snapshot
 			// flush barrier sees forwarded == the client's received count,
-			// every result is in the merged channel and already counted.
-			sc.results.Add(1)
-			r.resultsOut.Add(1)
-			ds.forwarded.Add(1)
+			// every result is in the merged stream and already counted.
+			sc.results.Add(n)
+			r.resultsOut.Add(n)
+			ds.forwarded.Add(n)
 		}
 	}()
 }
@@ -556,9 +561,14 @@ func (sc *shardConn) markDown() {
 	}
 }
 
-// Results returns the merged result stream. It closes after Close has
-// drained every shard.
-func (r *Router) Results() <-chan stream.Result { return r.merged }
+// ResultBatches returns the merged result stream, one pooled batch per
+// shard Results frame; the consumer releases each batch when done with
+// it. It closes after Close has drained every shard.
+func (r *Router) ResultBatches() <-chan *stream.ResultBatch { return r.merged }
+
+// Results returns the merged stream one result at a time. Use it instead
+// of ResultBatches, not alongside.
+func (r *Router) Results() <-chan stream.Result { return r.perResult.Results(r.merged) }
 
 // snapshotShards reads the current shard generation under the lock; the
 // returned slice is immutable (a rebalance replaces it wholesale).
@@ -568,8 +578,8 @@ func (r *Router) snapshotShards() []*shardConn {
 	return r.shards
 }
 
-// Backlog reports queued-but-undelivered work: merged results not yet
-// consumed plus broadcast batches not yet sent.
+// Backlog reports queued-but-undelivered work: merged result batches not
+// yet consumed plus broadcast batches not yet sent.
 func (r *Router) Backlog() int {
 	n := len(r.merged)
 	for _, sc := range r.snapshotShards() {

@@ -212,3 +212,102 @@ func TestRouterSnapshotAfterCloseFails(t *testing.T) {
 		t.Fatal("SnapshotState on a closed router must fail")
 	}
 }
+
+// TestRouterSnapshotFlushesBatchDrains: a coordinated snapshot cut while a
+// producer keeps streaming must still flush every pre-snapshot result
+// through the shard drains, which forward whole result batches. When
+// SnapshotState returns, ResultsEmitted must already cover the
+// pre-snapshot prefix's oracle set. Input is broadcast in order and the
+// snapshot holds the broadcast path, so those results enter the merged
+// stream before any later one: the first results the consumer reads must
+// be exactly that set, and the whole run must stay oracle-equal.
+func TestRouterSnapshotFlushesBatchDrains(t *testing.T) {
+	const (
+		window  = 96
+		total   = 6000
+		batchSz = 64
+	)
+	addrs := make([]string, 2)
+	for i := range addrs {
+		_, addrs[i] = startShardServer(t)
+	}
+	r, err := Dial(Config{Addrs: addrs, Cores: 2, Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(workload.Spec{Seed: 41, KeyDomain: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := gen.Take(total)
+
+	// A slow consumer keeps the merged stream and the shard drains backed
+	// up, so at the cut pre-snapshot batches are still queued behind it.
+	var got []stream.Result
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for b := range r.ResultBatches() {
+			time.Sleep(100 * time.Microsecond)
+			got = append(got, b.Items...)
+			b.Release()
+		}
+	}()
+	sent := make(chan error, 1)
+	go func() {
+		for off := 0; off < len(inputs); off += batchSz {
+			if err := r.SendBatch(inputs[off:min(off+batchSz, len(inputs))]); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for r.Signals().TuplesIn < total/3 {
+		if time.Now().After(deadline) {
+			t.Fatal("producer made no progress")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_, seqR, seqS, err := r.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Read at once: post-snapshot results need a round trip to the shards
+	// first, while every pre-snapshot one must already be forwarded.
+	emitted := r.ResultsEmitted()
+	cut := int(seqR + seqS)
+	if cut >= total {
+		t.Fatalf("snapshot at the end of the stream (%d of %d tuples); no live traffic to race", cut, total)
+	}
+	oracle, err := core.NewOracle(window, stream.EquiJoinOnKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := oracle.Run(inputs[:cut])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-consumed
+	if emitted < uint64(len(pre)) {
+		t.Fatalf("snapshot returned with %d results forwarded; the pre-snapshot prefix implies %d", emitted, len(pre))
+	}
+	if len(got) < len(pre) {
+		t.Fatalf("received %d results, the pre-snapshot prefix alone implies %d", len(got), len(pre))
+	}
+	if err := core.VerifyExactlyOnce(window, stream.EquiJoinOnKey(), inputs[:cut], got[:len(pre)]); err != nil {
+		t.Fatalf("results ahead of the snapshot cut are not the pre-snapshot set: %v", err)
+	}
+	if err := core.VerifyExactlyOnce(window, stream.EquiJoinOnKey(), inputs, got); err != nil {
+		t.Fatalf("live run diverged across the snapshot: %v", err)
+	}
+}

@@ -49,7 +49,7 @@ func BenchmarkProbe(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						slab.items = slab.items[:0]
+						slab.Items = slab.Items[:0]
 						c.probe(probe, stream.SideR, uint64(i), slab)
 					}
 					b.StopTimer()
@@ -74,7 +74,7 @@ func TestProbeAllocFree(t *testing.T) {
 			// Warm the slab (and match scratch) to steady-state capacity.
 			c.probe(probe, stream.SideR, 0, slab)
 			allocs := testing.AllocsPerRun(100, func() {
-				slab.items = slab.items[:0]
+				slab.Items = slab.Items[:0]
 				c.probe(probe, stream.SideR, 1, slab)
 			})
 			putSlab(slab)

@@ -23,12 +23,14 @@ type BiFlow struct {
 	cfg       Config
 	subWindow int
 	cores     []*biSoftCore
-	results   chan stream.Result
+	// results is the engine's result stream: every core sends each tuple's
+	// match vector onto it as one batch.
+	results   chan *stream.ResultBatch
+	perResult stream.Unbatcher
 
-	wg       sync.WaitGroup
-	gatherWG sync.WaitGroup
-	started  bool
-	closed   bool
+	wg      sync.WaitGroup
+	started bool
+	closed  bool
 
 	seqR, seqS uint64
 	injected   atomic.Uint64
@@ -38,15 +40,15 @@ type BiFlow struct {
 }
 
 type biSoftCore struct {
+	eng       *BiFlow
 	position  int
 	subWindow int
 	cond      stream.JoinCondition
 
-	inS  chan stream.Tuple     // from the left
-	inR  chan stream.Tuple     // from the right
-	outS chan stream.Tuple     // to the right (nil at the right end: expiry)
-	outR chan stream.Tuple     // to the left (nil at the left end: expiry)
-	out  chan *[]stream.Result // pooled per-tuple match vectors
+	inS  chan stream.Tuple // from the left
+	inR  chan stream.Tuple // from the right
+	outS chan stream.Tuple // to the right (nil at the right end: expiry)
+	outR chan stream.Tuple // to the left (nil at the left end: expiry)
 
 	segR *stream.SlidingWindow
 	segS *stream.SlidingWindow
@@ -67,23 +69,25 @@ func NewBiFlow(cfg Config) (*BiFlow, error) {
 	if cfg.sharded() || cfg.BaseSeqR != 0 || cfg.BaseSeqS != 0 {
 		return nil, fmt.Errorf("softjoin: sharded storage and sequence offsets require the uni-flow engine")
 	}
-	e := &BiFlow{
-		cfg:       cfg,
-		subWindow: cfg.subWindowSize(),
-		results:   make(chan stream.Result, cfg.ChannelDepth*cfg.BatchSize+1),
-	}
 	depth := cfg.ChannelDepth * cfg.BatchSize
 	if depth < 1 {
 		depth = 1
 	}
+	e := &BiFlow{
+		cfg:       cfg,
+		subWindow: cfg.subWindowSize(),
+		// One vector per matching tuple: the result stream buffers as many
+		// tuples' vectors as a neighbour link buffers tuples.
+		results: make(chan *stream.ResultBatch, depth),
+	}
 	for i := 0; i < cfg.NumCores; i++ {
 		e.cores = append(e.cores, &biSoftCore{
+			eng:       e,
 			position:  i,
 			subWindow: e.subWindow,
 			cond:      cfg.Condition,
 			inS:       make(chan stream.Tuple, depth),
 			inR:       make(chan stream.Tuple, depth),
-			out:       make(chan *[]stream.Result, depth),
 			segR:      stream.NewSlidingWindow(e.subWindow + 1),
 			segS:      stream.NewSlidingWindow(e.subWindow + 1),
 		})
@@ -145,40 +149,19 @@ func (e *BiFlow) Preload(r, s []stream.Tuple) error {
 	return nil
 }
 
-// Start launches the chain and the result gatherers.
+// Start launches the chain.
 func (e *BiFlow) Start() error {
 	if e.started {
 		return fmt.Errorf("softjoin: engine already started")
 	}
 	e.started = true
 	for _, c := range e.cores {
-		c := c
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
 			c.run()
 		}()
 	}
-	for _, c := range e.cores {
-		c := c
-		e.gatherWG.Add(1)
-		go func() {
-			defer e.gatherWG.Done()
-			for vec := range c.out {
-				for i := range *vec {
-					e.results <- (*vec)[i]
-				}
-				e.collected.Add(uint64(len(*vec)))
-				putResultVec(vec)
-			}
-		}()
-	}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		e.gatherWG.Wait()
-		close(e.results)
-	}()
 	return nil
 }
 
@@ -187,7 +170,6 @@ func (e *BiFlow) Start() error {
 // the nil-channel select idiom, so a core never blocks on a send while
 // refusing to receive — the chain cannot deadlock.
 func (c *biSoftCore) run() {
-	defer close(c.out)
 	var pendingS, pendingR []stream.Tuple
 	inS, inR := c.inS, c.inR
 	sDone, rDone := false, false
@@ -259,8 +241,8 @@ func (c *biSoftCore) run() {
 
 // process entry-scans a tuple against the opposite segment, stores it, and
 // queues the displaced oldest tuple (if any) for forwarding. Matches for
-// the tuple accumulate in a pooled vector handed to the gatherer with one
-// send — a tuple with no matches sends nothing at all.
+// the tuple accumulate in a pooled batch sent onto the result stream with
+// one send — a tuple with no matches sends nothing at all.
 func (c *biSoftCore) process(t stream.Tuple, side stream.Side, pending []stream.Tuple) []stream.Tuple {
 	var own, other *stream.SlidingWindow
 	if side == stream.SideR {
@@ -268,25 +250,28 @@ func (c *biSoftCore) process(t stream.Tuple, side stream.Side, pending []stream.
 	} else {
 		own, other = c.segS, c.segR
 	}
-	var vec *[]stream.Result
+	var vec *stream.ResultBatch
 	var scanned uint64
 	other.Scan(func(stored stream.Tuple) bool {
 		scanned++
 		if c.cond.Match(t, stored) {
 			if vec == nil {
-				vec = getResultVec()
+				vec = stream.GetResultBatch()
 			}
 			if side == stream.SideR {
-				*vec = append(*vec, stream.Result{R: t, S: stored})
+				vec.Items = append(vec.Items, stream.Result{R: t, S: stored})
 			} else {
-				*vec = append(*vec, stream.Result{R: stored, S: t})
+				vec.Items = append(vec.Items, stream.Result{R: stored, S: t})
 			}
 		}
 		return true
 	})
 	c.compared.Add(scanned)
 	if vec != nil {
-		c.out <- vec
+		n := len(vec.Items)
+		c.eng.results <- vec
+		// Counted after the hand-off: Collected never runs ahead of the stream.
+		c.eng.collected.Add(uint64(n))
 	}
 	own.Insert(t)
 	if own.Len() > c.subWindow {
@@ -316,11 +301,17 @@ func (e *BiFlow) Push(side stream.Side, t stream.Tuple) {
 	e.injected.Add(1)
 }
 
-// Results returns the merged result channel.
-func (e *BiFlow) Results() <-chan stream.Result { return e.results }
+// ResultBatches returns the engine's result stream: one pooled batch per
+// matching tuple, which the consumer releases when done with it. The
+// channel is closed after Close once the chain has drained.
+func (e *BiFlow) ResultBatches() <-chan *stream.ResultBatch { return e.results }
 
-// Close stops ingest and waits for the chain to drain. Results must be
-// consumed concurrently.
+// Results returns the result stream one result at a time. Use it instead
+// of ResultBatches, not alongside.
+func (e *BiFlow) Results() <-chan stream.Result { return e.perResult.Results(e.results) }
+
+// Close stops ingest and waits for the chain to drain. The result stream
+// must be consumed concurrently.
 func (e *BiFlow) Close() error {
 	if !e.started {
 		return fmt.Errorf("softjoin: engine not started")
@@ -332,13 +323,15 @@ func (e *BiFlow) Close() error {
 	close(e.cores[0].inS)
 	close(e.cores[len(e.cores)-1].inR)
 	e.wg.Wait()
+	close(e.results)
 	return nil
 }
 
 // Injected returns how many tuples were submitted.
 func (e *BiFlow) Injected() uint64 { return e.injected.Load() }
 
-// Collected returns how many results were gathered.
+// Collected returns how many results have been handed to the result
+// stream.
 func (e *BiFlow) Collected() uint64 { return e.collected.Load() }
 
 // Expired returns the per-stream counts of tuples that fell off the chain.

@@ -9,13 +9,13 @@ import (
 )
 
 // Hot-path pooling: the software engines' analogue of the FPGA designs'
-// zero-dynamic-allocation data path. Input batches and result vectors are
-// recycled through sync.Pools so the steady-state ingest→probe→emit
-// pipeline performs no heap allocation and one channel hand-off per batch
-// (not per tuple or per match) — the software stand-in for the hardware's
-// wide result bus (Figs. 10–13).
+// zero-dynamic-allocation data path. Input batches, slabs and result
+// batches are recycled through sync.Pools so the steady-state
+// ingest→probe→emit pipeline performs no heap allocation and one channel
+// hand-off per batch (not per tuple or per match) — the software stand-in
+// for the hardware's wide result bus (Figs. 10–13).
 
-// maxPooledItems bounds the capacity a recycled slab/batch/vector may
+// maxPooledItems bounds the capacity a recycled slab or input batch may
 // retain. A pathological high-selectivity batch can grow a slab to
 // megabytes; dropping oversized backing arrays keeps the pools from
 // pinning that memory forever.
@@ -48,43 +48,39 @@ func (b *inputBatch) release() {
 	}
 }
 
-// resultSlab is one core's result vector for one input batch: every match
-// the batch produced on that core, tagged with arrival indices, plus the
-// punctuation (the core's processed watermark) riding in the header. The
-// core hands the whole slab to the gatherer with a single channel send.
+// resultSlab is one core's output for one input batch: every match the
+// batch produced on that core, as a plain result batch. In relaxed mode
+// the core sends that batch itself onto the engine's result stream with a
+// single channel send. Ordered mode also needs, per result, the arrival
+// index of its probing tuple (idx, parallel to Items) and the punctuation
+// riding in the header — the core's processed watermark after the batch —
+// so there the whole slab goes to the reorder goroutine instead.
 type resultSlab struct {
+	*stream.ResultBatch
+	idx       []uint64
 	core      int
 	processed uint64
-	items     []taggedResult
 }
 
-var slabPool = sync.Pool{New: func() any { return new(resultSlab) }}
+// tag records the arrival index of the last n results appended to the
+// slab. Only ordered mode tags.
+func (s *resultSlab) tag(idx uint64, n int) {
+	for ; n > 0; n-- {
+		s.idx = append(s.idx, idx)
+	}
+}
+
+var slabPool = sync.Pool{New: func() any { return &resultSlab{ResultBatch: new(stream.ResultBatch)} }}
 
 func getSlab() *resultSlab {
 	s := slabPool.Get().(*resultSlab)
-	s.items = s.items[:0]
+	s.Items = s.Items[:0]
+	s.idx = s.idx[:0]
 	return s
 }
 
 func putSlab(s *resultSlab) {
-	if cap(s.items) <= maxPooledItems {
+	if cap(s.Items) <= maxPooledItems && cap(s.idx) <= maxPooledItems {
 		slabPool.Put(s)
-	}
-}
-
-// resultVec is the BiFlow per-tuple match vector (the handshake chain has
-// no batching or ordering, so a bare slice suffices). Pooled via pointer
-// so Put does not allocate a slice-header box.
-var resultVecPool = sync.Pool{New: func() any { return new([]stream.Result) }}
-
-func getResultVec() *[]stream.Result {
-	v := resultVecPool.Get().(*[]stream.Result)
-	*v = (*v)[:0]
-	return v
-}
-
-func putResultVec(v *[]stream.Result) {
-	if cap(*v) <= maxPooledItems {
-		resultVecPool.Put(v)
 	}
 }

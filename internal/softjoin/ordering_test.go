@@ -127,3 +127,34 @@ func TestOrderedReleaseGenericCondition(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReorderBufferAllocFree: once the heap and the output batch have
+// reached their steady-state capacity, buffering and releasing results
+// through the ordered-mode reorder buffer allocates nothing per result.
+func TestReorderBufferAllocFree(t *testing.T) {
+	const perCycle, arrivals = 64, 16
+	var rb reorderBuffer
+	var out []stream.Result
+	var base uint64
+	cycle := func() {
+		// Added out of arrival order, as slabs from independent cores are.
+		for i := 0; i < perCycle; i++ {
+			idx := base + uint64(i*7%arrivals)
+			rb.add(taggedResult{res: stream.Result{R: stream.Tuple{Seq: idx}}, idx: idx})
+		}
+		base += arrivals
+		out = rb.release(base, out[:0])
+		if len(out) != perCycle {
+			t.Fatalf("released %d of %d results below the watermark", len(out), perCycle)
+		}
+		for i := 1; i < len(out); i++ {
+			if out[i].R.Seq < out[i-1].R.Seq {
+				t.Fatalf("release out of arrival order at %d", i)
+			}
+		}
+	}
+	cycle() // grow the heap and the output to steady-state capacity
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%v allocs per %d results released, want 0", allocs, perCycle)
+	}
+}

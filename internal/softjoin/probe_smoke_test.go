@@ -27,13 +27,13 @@ func TestHashKernelOutpacesScan(t *testing.T) {
 		slab := getSlab()
 		defer putSlab(slab)
 		// Warm caches and scratch buffers before timing.
-		slab.items = slab.items[:0]
+		slab.Items = slab.Items[:0]
 		c.probe(probe, stream.SideR, 0, slab)
 		best := time.Duration(1 << 62)
 		for rep := 0; rep < 3; rep++ {
 			start := time.Now()
 			for i := 0; i < probes; i++ {
-				slab.items = slab.items[:0]
+				slab.Items = slab.Items[:0]
 				c.probe(probe, stream.SideR, uint64(i), slab)
 			}
 			if d := time.Since(start); d < best {

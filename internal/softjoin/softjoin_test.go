@@ -3,7 +3,9 @@ package softjoin
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"accelstream/internal/core"
@@ -637,5 +639,81 @@ func TestUniFlowBaseSeqResume(t *testing.T) {
 	// Per-side arrivals 20..39: residue-1 indices are 21,23,..,39 → 10.
 	if sum != 10 {
 		t.Errorf("resumed shard stored %d R tuples, want 10", sum)
+	}
+}
+
+// TestUniFlowBatchOwnership pins the result-batch release contract: once
+// a core hands a batch to the result stream, the consumer owns it until
+// Release. The consumer here holds every batch across at least one later
+// PushBatch before reading and releasing it, and checks the contents did
+// not change while held. Under -race, any engine write into (or pool
+// recycle of) a batch it already handed over is reported; in every mode
+// the collected multiset must still equal the oracle.
+func TestUniFlowBatchOwnership(t *testing.T) {
+	for _, ordered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ordered=%v", ordered), func(t *testing.T) {
+			const window, n, batchSz = 64, 6000, 48
+			inputs := randomWorkload(rand.New(rand.NewSource(21)), n, 16)
+			e, err := NewUniFlow(Config{NumCores: 2, WindowSize: window, OrderedResults: ordered})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			// pushes counts completed PushBatch calls. The consumer never
+			// blocks on it (that could stall the pipeline behind it): it
+			// releases a held batch at the first receive after pushes has
+			// moved past the value seen when the batch arrived.
+			var pushes atomic.Uint64
+			type held struct {
+				b    *stream.ResultBatch
+				seen []stream.Result
+				at   uint64
+			}
+			var got []stream.Result
+			var changed int
+			consumed := make(chan struct{})
+			release := func(h held) {
+				if !slices.Equal(h.b.Items, h.seen) {
+					changed++
+				}
+				got = append(got, h.b.Items...)
+				h.b.Release()
+			}
+			go func() {
+				defer close(consumed)
+				var hold []held
+				for b := range e.ResultBatches() {
+					now := pushes.Load()
+					keep := hold[:0]
+					for _, h := range hold {
+						if h.at < now {
+							release(h)
+						} else {
+							keep = append(keep, h)
+						}
+					}
+					hold = append(keep, held{b: b, seen: slices.Clone(b.Items), at: now})
+				}
+				for _, h := range hold {
+					release(h)
+				}
+			}()
+			for off := 0; off < n; off += batchSz {
+				e.PushBatch(inputs[off:min(off+batchSz, n)])
+				pushes.Add(1)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			<-consumed
+			if changed > 0 {
+				t.Fatalf("%d result batches changed while the consumer held them", changed)
+			}
+			if err := core.VerifyExactlyOnce(window, stream.EquiJoinOnKey(), inputs, got); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

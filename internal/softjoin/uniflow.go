@@ -6,9 +6,16 @@
 //     every incoming tuple (in batches) to N independent join-core
 //     goroutines; each core stores every N-th tuple of each stream into its
 //     local sub-window (round-robin, coordination-free) and probes its
-//     sub-window of the opposite stream; a result-gathering goroutine merges
-//     the per-core result channels.
+//     sub-window of the opposite stream. Each core hands its whole result
+//     vector for a batch onto the engine's result stream in one send — the
+//     gathering network's burst drain.
 //   - BiFlow: a handshake-join chain of goroutines for baseline comparison.
+//
+// Both engines publish results as a stream of pooled stream.ResultBatch
+// values (ResultBatches), one channel operation per batch; the consumer
+// releases each batch when done with it. Results is the per-result view of
+// the same stream for callers that want one result at a time; an engine's
+// results are read through one of the two, never both.
 //
 // Unlike the hardware packages, these engines use real concurrency; their
 // throughput and latency are measured in wall-clock time on the host.
@@ -148,35 +155,42 @@ type UniFlow struct {
 	in      chan *inputBatch
 	pending *inputBatch
 	cores   []*softCore
-	results chan stream.Result
+	// results is the engine's result stream. In relaxed mode the cores
+	// send their result batches onto it directly; in ordered mode they
+	// send tagged slabs on slabs (nil otherwise) to the reorder goroutine,
+	// which is then the stream's only sender.
+	results   chan *stream.ResultBatch
+	slabs     chan *resultSlab
+	perResult stream.Unbatcher
 
-	wg       sync.WaitGroup
-	gatherWG sync.WaitGroup
-	started  bool
-	closed   bool
+	wg      sync.WaitGroup
+	coreWG  sync.WaitGroup
+	started bool
+	closed  bool
 
 	seqR, seqS uint64
 
 	injected  atomic.Uint64
 	collected atomic.Uint64
-	// slabsDone counts result slabs fully forwarded into e.results by the
-	// gathering side. Together with the per-core slabsSent counters it
-	// gives Quiesce a sound completion test: a core increments slabsSent
-	// before publishing its processed watermark, so once every core shows
-	// processed == injected the sum of slabsSent is final, and once
-	// slabsDone catches up every result is in e.results.
+	// slabsDone counts result slabs whose results are fully handed to
+	// e.results (by the core itself in relaxed mode, by the reorder
+	// goroutine in ordered mode). Together with the per-core slabsSent
+	// counters it gives Quiesce a sound completion test: a core increments
+	// slabsSent before publishing its processed watermark, so once every
+	// core shows processed == injected the sum of slabsSent is final, and
+	// once slabsDone catches up every result is in e.results.
 	slabsDone atomic.Uint64
 }
 
 // softCore is one join-core goroutine's state.
 type softCore struct {
+	eng     *UniFlow
 	part    core.Partition
 	shard   core.Partition // deployment-level residue class (unsharded: 1/0)
 	cond    stream.JoinCondition
 	kernel  stream.ProbeKernel // concrete kernel: KernelHash or KernelScan
-	ordered bool               // ordered mode needs a slab (punctuation) per batch, even empty
+	ordered bool               // ordered mode tags results and sends a slab (punctuation) per batch, even empty
 	in      chan *inputBatch
-	out     chan *resultSlab
 	windowR *stream.SlidingWindow
 	windowS *stream.SlidingWindow
 	// Hash-kernel state: one incremental key index per sub-window, kept in
@@ -198,24 +212,30 @@ func NewUniFlow(cfg Config) (*UniFlow, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// Each core may run ChannelDepth+1 batches ahead of the consumer: one
+	// result batch (or slab) per in-flight input batch, mirroring the
+	// input side's depth.
+	depth := cfg.NumCores * (cfg.ChannelDepth + 1)
 	e := &UniFlow{
 		cfg:       cfg,
 		subWindow: cfg.subWindowSize(),
 		kernel:    cfg.resolveKernel(),
 		in:        make(chan *inputBatch, cfg.ChannelDepth),
-		results:   make(chan stream.Result, cfg.ChannelDepth*cfg.BatchSize+1),
+		results:   make(chan *stream.ResultBatch, depth),
+	}
+	if cfg.OrderedResults {
+		e.slabs = make(chan *resultSlab, depth)
 	}
 	e.seqR, e.seqS = cfg.BaseSeqR, cfg.BaseSeqS
 	for i := 0; i < cfg.NumCores; i++ {
 		c := &softCore{
+			eng:     e,
 			part:    core.Partition{NumCores: cfg.NumCores, Position: i},
 			shard:   core.Partition{NumCores: cfg.ShardCount, Position: cfg.ShardIndex},
 			cond:    cfg.Condition,
 			kernel:  e.kernel,
 			ordered: cfg.OrderedResults,
 			in:      make(chan *inputBatch, cfg.ChannelDepth),
-			// One slab per in-flight batch: depth mirrors the input side.
-			out:     make(chan *resultSlab, cfg.ChannelDepth+1),
 			windowR: stream.NewSlidingWindow(cfg.subWindowSize()),
 			windowS: stream.NewSlidingWindow(cfg.subWindowSize()),
 			countR:  cfg.BaseSeqR,
@@ -348,12 +368,12 @@ func (e *UniFlow) collectState() []core.Input {
 // Quiesce drives the running engine to a punctuation boundary without
 // closing it: pending input is flushed, then it spin-waits until every
 // core has processed every injected tuple and every result slab those
-// batches produced has been forwarded into the Results channel. On
-// return the windows are safe to read, the sequence counters are stable,
-// and Collected() counts every result the input so far can produce —
-// results may still sit buffered in the Results channel, which the
-// consumer must keep draining or Quiesce can block forever. Must be
-// called from the single producer goroutine (no concurrent Push).
+// batches produced has been handed to the result stream. On return the
+// windows are safe to read, the sequence counters are stable, and
+// Collected() counts every result the input so far can produce — results
+// may still sit buffered in the result stream, which the consumer must
+// keep draining or Quiesce can block forever. Must be called from the
+// single producer goroutine (no concurrent Push).
 func (e *UniFlow) Quiesce() error {
 	if !e.started {
 		return fmt.Errorf("softjoin: Quiesce before Start")
@@ -397,13 +417,14 @@ func (e *UniFlow) SnapshotState() ([]core.Input, uint64, uint64, error) {
 	return e.collectState(), e.seqR, e.seqS, nil
 }
 
-// ResultsEmitted returns how many results have been handed to the Results
-// channel. At a quiesce boundary this is the exact number of results the
+// ResultsEmitted returns how many results have been handed to the result
+// stream. At a quiesce boundary this is the exact number of results the
 // input consumed so far produces — the flush target a checkpointing
 // session waits on before declaring a snapshot durable.
 func (e *UniFlow) ResultsEmitted() uint64 { return e.collected.Load() }
 
-// Start launches the distributor, the join cores, and the result gatherer.
+// Start launches the distributor, the join cores, and (in ordered mode)
+// the reorder goroutine.
 func (e *UniFlow) Start() error {
 	if e.started {
 		return fmt.Errorf("softjoin: engine already started")
@@ -412,17 +433,17 @@ func (e *UniFlow) Start() error {
 
 	// Join cores.
 	for _, c := range e.cores {
-		c := c
-		e.wg.Add(1)
+		e.coreWG.Add(1)
 		go func() {
-			defer e.wg.Done()
+			defer e.coreWG.Done()
 			c.run()
 		}()
 	}
 
 	// Distributor: broadcast each pooled batch to every core. The cores
 	// share the batch read-only; the reference count lets the last one to
-	// finish recycle it.
+	// finish recycle it. Once the cores have drained, it closes the channel
+	// they send results on.
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
@@ -435,87 +456,66 @@ func (e *UniFlow) Start() error {
 		for _, c := range e.cores {
 			close(c.in)
 		}
+		e.coreWG.Wait()
+		if e.slabs != nil {
+			close(e.slabs)
+		} else {
+			close(e.results)
+		}
 	}()
 
-	// Result gathering. Relaxed mode: one goroutine per core copying each
-	// slab into the shared output and recycling it. Ordered mode: the
-	// per-core goroutines feed a merged channel drained by a single
-	// reordering goroutine.
-	if !e.cfg.OrderedResults {
-		for _, c := range e.cores {
-			c := c
-			e.gatherWG.Add(1)
-			go func() {
-				defer e.gatherWG.Done()
-				for slab := range c.out {
-					for i := range slab.items {
-						e.results <- slab.items[i].res
-					}
-					e.collected.Add(uint64(len(slab.items)))
-					e.slabsDone.Add(1)
-					putSlab(slab)
-				}
-			}()
-		}
+	if e.slabs != nil {
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
-			e.gatherWG.Wait()
-			close(e.results)
-		}()
-		return nil
-	}
-
-	merged := make(chan *resultSlab, len(e.cores))
-	for _, c := range e.cores {
-		c := c
-		e.gatherWG.Add(1)
-		go func() {
-			defer e.gatherWG.Done()
-			for slab := range c.out {
-				merged <- slab
-			}
+			e.reorder()
 		}()
 	}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		e.gatherWG.Wait()
-		close(merged)
-	}()
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		defer close(e.results)
-		var rb reorderBuffer
-		watermarks := make([]uint64, len(e.cores))
-		emit := func(r stream.Result) {
-			e.collected.Add(1)
-			e.results <- r
-		}
-		for slab := range merged {
-			for i := range slab.items {
-				rb.add(slab.items[i])
-			}
-			// The slab header is the punctuation: everything this core
-			// produced for arrivals below its watermark is now buffered.
-			watermarks[slab.core] = slab.processed
-			putSlab(slab)
-			low := watermarks[0]
-			for _, w := range watermarks[1:] {
-				if w < low {
-					low = w
-				}
-			}
-			rb.release(low, emit)
-			// Counted only after the release: at a quiesce point every
-			// core's watermark equals the injected count, so the final
-			// release drains the buffer before the count goes final.
-			e.slabsDone.Add(1)
-		}
-		rb.flush(emit)
-	}()
 	return nil
+}
+
+// reorder is ordered mode's single result sender: it buffers the cores'
+// tagged slabs and, each time the slowest core's watermark advances,
+// sends everything below it as one result batch in arrival order.
+func (e *UniFlow) reorder() {
+	defer close(e.results)
+	var rb reorderBuffer
+	watermarks := make([]uint64, len(e.cores))
+	out := stream.GetResultBatch()
+	send := func() {
+		n := len(out.Items)
+		if n == 0 {
+			return
+		}
+		e.results <- out
+		// Counted after the hand-off, like every ResultsEmitted count.
+		e.collected.Add(uint64(n))
+		out = stream.GetResultBatch()
+	}
+	for slab := range e.slabs {
+		for i, r := range slab.Items {
+			rb.add(taggedResult{res: r, idx: slab.idx[i]})
+		}
+		// The slab header is the punctuation: everything this core
+		// produced for arrivals below its watermark is now buffered.
+		watermarks[slab.core] = slab.processed
+		putSlab(slab)
+		low := watermarks[0]
+		for _, w := range watermarks[1:] {
+			if w < low {
+				low = w
+			}
+		}
+		out.Items = rb.release(low, out.Items)
+		send()
+		// Counted only after the release: at a quiesce point every
+		// core's watermark equals the injected count, so the final
+		// release drains the buffer before the count goes final.
+		e.slabsDone.Add(1)
+	}
+	out.Items = rb.flush(out.Items)
+	send()
+	out.Release()
 }
 
 // run is the join-core loop: for every tuple in every batch, probe the
@@ -525,7 +525,6 @@ func (e *UniFlow) Start() error {
 // round-robins the stored subsequence over the cores (for the unsharded
 // 1-of-1 shard both collapse to the original per-core turn).
 func (c *softCore) run() {
-	defer close(c.out)
 	shardN := uint64(c.shard.NumCores)
 	slab := getSlab()
 	for b := range c.in {
@@ -555,29 +554,40 @@ func (c *softCore) run() {
 		// Decide (and count) the slab send before publishing the processed
 		// watermark: Quiesce reads processed to learn when the slab count
 		// is final, so slabsSent must be visible first.
-		send := c.ordered || len(slab.items) > 0
+		send := c.ordered || len(slab.Items) > 0
 		if send {
 			c.slabsSent.Add(1)
 		}
 		c.processed.Store(proc)
 		b.release()
-		// Hand the batch's whole result vector over with a single send;
-		// the punctuation (processed watermark) rides in the slab header.
 		// Relaxed mode has no watermarks, so empty slabs stay here and are
 		// reused for the next batch.
-		if send {
+		if !send {
+			continue
+		}
+		if c.ordered {
+			// The punctuation (processed watermark) rides in the header.
 			slab.core = c.part.Position
 			slab.processed = proc
-			c.out <- slab
+			c.eng.slabs <- slab
 			slab = getSlab()
+			continue
 		}
+		// Relaxed mode: the slab's result batch is itself the hand-off —
+		// one send for the batch's whole result vector, no copy.
+		n := len(slab.Items)
+		c.eng.results <- slab.ResultBatch
+		slab.ResultBatch = stream.GetResultBatch()
+		// Counted after the hand-off: ResultsEmitted is a flush target.
+		c.eng.collected.Add(uint64(n))
+		c.eng.slabsDone.Add(1)
 	}
 	putSlab(slab)
 }
 
 // probe matches t (arrival index idx) against the opposite sub-window,
-// appending results to the batch's slab. The kernel decides the shape of
-// the work and what Comparisons() counts:
+// appending results to the batch's slab (tagged with idx in ordered mode).
+// The kernel decides the shape of the work and what Comparisons() counts:
 //
 //   - KernelHash looks the key up in the opposite window's incremental
 //     index — O(matches) per probe; Comparisons() counts the index entries
@@ -609,12 +619,15 @@ func (c *softCore) probeHash(t stream.Tuple, side stream.Side, idx uint64, slab 
 	c.matchBuf = matches // keep the grown capacity for the next probe
 	if side == stream.SideR {
 		for _, stored := range matches {
-			slab.items = append(slab.items, taggedResult{res: stream.Result{R: t, S: stored}, idx: idx})
+			slab.Items = append(slab.Items, stream.Result{R: t, S: stored})
 		}
 	} else {
 		for _, stored := range matches {
-			slab.items = append(slab.items, taggedResult{res: stream.Result{R: stored, S: t}, idx: idx})
+			slab.Items = append(slab.Items, stream.Result{R: stored, S: t})
 		}
+	}
+	if c.ordered {
+		slab.tag(idx, len(matches))
 	}
 	c.compared.Add(uint64(examined))
 }
@@ -633,6 +646,7 @@ func (c *softCore) probeScan(t stream.Tuple, side stream.Side, idx uint64, slab 
 	olderT, newerT := win.Segments()
 	olderW, newerW := win.WordSegments()
 	scanned := uint64(len(olderW) + len(newerW))
+	before := len(slab.Items)
 	for seg := 0; seg < 2; seg++ {
 		tuples, words := olderT, olderW
 		if seg == 1 {
@@ -648,13 +662,16 @@ func (c *softCore) probeScan(t stream.Tuple, side stream.Side, idx uint64, slab 
 				i := bits.TrailingZeros64(mask)
 				mask &= mask - 1
 				if side == stream.SideR {
-					slab.items = append(slab.items, taggedResult{res: stream.Result{R: t, S: tuples[i]}, idx: idx})
+					slab.Items = append(slab.Items, stream.Result{R: t, S: tuples[i]})
 				} else {
-					slab.items = append(slab.items, taggedResult{res: stream.Result{R: tuples[i], S: t}, idx: idx})
+					slab.Items = append(slab.Items, stream.Result{R: tuples[i], S: t})
 				}
 			}
 			words, tuples = words[n:], tuples[n:]
 		}
+	}
+	if c.ordered {
+		slab.tag(idx, len(slab.Items)-before)
 	}
 	c.compared.Add(scanned)
 }
@@ -713,12 +730,19 @@ func (e *UniFlow) flushBatch() {
 	e.in <- b
 }
 
-// Results returns the merged result channel. It is closed after Close once
-// all in-flight work has drained.
-func (e *UniFlow) Results() <-chan stream.Result { return e.results }
+// ResultBatches returns the engine's result stream: one pooled batch per
+// core per input batch in relaxed mode, one per watermark release in
+// ordered mode. The consumer releases each batch when done with it. The
+// channel is closed after Close once all in-flight work has drained.
+func (e *UniFlow) ResultBatches() <-chan *stream.ResultBatch { return e.results }
+
+// Results returns the result stream one result at a time. It is closed
+// after Close once all in-flight work has drained. Use it instead of
+// ResultBatches, not alongside.
+func (e *UniFlow) Results() <-chan stream.Result { return e.perResult.Results(e.results) }
 
 // Close flushes pending input, stops the pipeline, and waits for every
-// goroutine to exit. The Results channel must be drained concurrently or
+// goroutine to exit. The result stream must be drained concurrently or
 // Close may block forever.
 func (e *UniFlow) Close() error {
 	if !e.started {
@@ -737,7 +761,8 @@ func (e *UniFlow) Close() error {
 // Injected returns how many tuples were submitted.
 func (e *UniFlow) Injected() uint64 { return e.injected.Load() }
 
-// Collected returns how many results were gathered.
+// Collected returns how many results have been handed to the result
+// stream.
 func (e *UniFlow) Collected() uint64 { return e.collected.Load() }
 
 // Processed returns the total per-core tuple processing count (each tuple is

@@ -874,12 +874,24 @@ func DecodeBatchInto(payload []byte, maxTuples int, dst []core.Input) (seq uint6
 
 // DecodeResults parses a Results payload into a fresh result slice.
 func DecodeResults(payload []byte) ([]stream.Result, error) {
+	return DecodeResultsInto(payload, nil)
+}
+
+// DecodeResultsInto parses a Results payload into dst's backing storage,
+// growing it only when the frame exceeds dst's capacity: the results
+// counterpart of DecodeBatchInto, so a client decoding every frame into a
+// recycled result batch allocates nothing per frame. dst may be nil; its
+// contents are overwritten.
+func DecodeResultsInto(payload []byte, dst []stream.Result) ([]stream.Result, error) {
 	c := cursor{b: payload}
 	n := c.uvarint()
 	if c.err == nil && n*resultWireMin > uint64(len(payload)) {
 		return nil, fmt.Errorf("wire: result count %d exceeds payload", n)
 	}
-	results := make([]stream.Result, 0, n)
+	results := dst[:0]
+	if uint64(cap(results)) < n {
+		results = make([]stream.Result, 0, n)
+	}
 	for i := uint64(0); i < n && c.err == nil; i++ {
 		var r stream.Result
 		r.R.Key = c.u32()

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -155,7 +156,9 @@ func FuzzDecodeBatch(f *testing.F) {
 }
 
 // FuzzDecodeResults fuzzes the result payload decoder with the same
-// accepted-implies-round-trips property.
+// accepted-implies-round-trips property, and checks that decoding into a
+// reused, dirty destination (DecodeResultsInto, as the client's batch
+// decode does) agrees exactly with a fresh decode.
 func FuzzDecodeResults(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	var buf bytes.Buffer
@@ -163,10 +166,20 @@ func FuzzDecodeResults(f *testing.F) {
 		f.Fatal(err)
 	}
 	seedWithFlips(f, payloadOf(f, buf.Bytes()))
+	// Capacity 8: small frames decode in place over stale results, larger
+	// ones force a grow.
+	dirty := randResults(rand.New(rand.NewSource(6)), 8)[:3]
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		results, err := DecodeResults(payload)
+		into, intoErr := DecodeResultsInto(payload, dirty)
+		if (err == nil) != (intoErr == nil) {
+			t.Fatalf("DecodeResults err=%v, DecodeResultsInto into a dirty buffer err=%v", err, intoErr)
+		}
 		if err != nil {
 			return
+		}
+		if !slices.Equal(into, results) {
+			t.Fatalf("decode into a dirty buffer diverged: %v, fresh decode %v", into, results)
 		}
 		var rt bytes.Buffer
 		if err := NewWriter(&rt).WriteResults(results); err != nil {

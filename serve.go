@@ -27,7 +27,10 @@ type SessionMetrics = server.SessionMetrics
 
 // SessionEngineImpl is the server-side engine abstraction a session runs;
 // supply ServerConfig.NewEngine to put a custom implementation (such as a
-// shard router — see cmd/streamshard) behind an ordinary session.
+// shard router — see cmd/streamshard) behind an ordinary session. An
+// implementation publishes its results as a channel of pooled
+// *ResultBatch values (one channel operation per batch; the session
+// releases each batch after writing it) and counts them in ResultsEmitted.
 type SessionEngineImpl = server.Engine
 
 // SessionConfig selects and sizes the engine a client session runs.
