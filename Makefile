@@ -63,12 +63,12 @@ test-recovery:
 
 # The multi-tenant admission suite: the controller's bookkeeping, the
 # session-cap race, the window-memory budget, lossless rate shaping, the
-# v1/v2 handshake interop, tenant passthrough on shard redial and
-# rebalance, and the facade precedence/quota surface — then the
-# controller and the server's admission path again under the race
-# detector.
+# refusal of a retired v1 Open before admission, tenant passthrough on
+# shard redial and rebalance, and the facade precedence/quota surface —
+# then the controller and the server's admission path again under the
+# race detector.
 test-quota:
-	$(GO) test -run 'Quota|Tenant|Admission|Admit|V1ClientInterop|DialOptionPrecedence|OpenV2|RejectCode' -v \
+	$(GO) test -run 'Quota|Tenant|Admission|Admit|V1OpenRefused|DialOptionPrecedence|OpenV2|RejectCode' -v \
 		./internal/admission/ ./internal/server/ ./internal/shard/ ./internal/wire/ .
 	$(GO) test -race -run 'Quota|Tenant|Admit' ./internal/admission/ ./internal/server/ ./internal/shard/
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +35,7 @@ var ErrUnauthorized = errors.New("server: unauthorized")
 // retrying after the hint can succeed — quota frees as sessions close.
 var ErrAdmissionDenied = errors.New("server: admission denied")
 
-// AdmissionError is the typed admission rejection carried by a v2
+// AdmissionError is the typed admission rejection carried by the
 // handshake's OpenAck. It wraps ErrAdmissionDenied.
 type AdmissionError struct {
 	// Code says which quota rejected the open (RejectQuotaSessions,
@@ -126,9 +125,9 @@ type DialOptions struct {
 	// session-auth check; a rejection surfaces as ErrUnauthorized.
 	AuthToken string
 	// Tenant, when non-empty, names the tenant identity the server
-	// accounts this session under (requires the v2 handshake). It wins
-	// over any OpenConfig.Tenant already set; left empty, the server
-	// derives a tenant from the auth token, or uses the shared default.
+	// accounts this session under. It wins over any OpenConfig.Tenant
+	// already set; left empty, the server derives a tenant from the auth
+	// token, or uses the shared default.
 	Tenant string
 	// ProbeKernel, when not KernelAuto, selects the soft-uni probe kernel
 	// for this session, winning over any OpenConfig.ProbeKernel already
@@ -204,19 +203,8 @@ func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, erro
 	switch f.Type {
 	case wire.FrameOpenAck:
 	case wire.FrameError:
-		msg := wire.DecodeError(f.Payload)
 		conn.Close()
-		if wire.IsUnauthorized(msg) {
-			// ErrUnauthorized already says "unauthorized"; keep only the
-			// server's detail after the wire prefix.
-			detail := strings.TrimPrefix(msg, wire.UnauthorizedPrefix)
-			detail = strings.TrimPrefix(detail, ": ")
-			if detail == "" {
-				return nil, ErrUnauthorized
-			}
-			return nil, fmt.Errorf("%w: %s", ErrUnauthorized, detail)
-		}
-		return nil, fmt.Errorf("server: session rejected: %s", msg)
+		return nil, fmt.Errorf("server: session rejected: %s", wire.DecodeError(f.Payload))
 	default:
 		conn.Close()
 		return nil, fmt.Errorf("server: unexpected %v frame during handshake", f.Type)
@@ -227,8 +215,7 @@ func DialWith(addr string, cfg wire.OpenConfig, opts DialOptions) (*Client, erro
 		return nil, err
 	}
 	if ack.Reject != wire.RejectNone {
-		// A v2 server answers handshake denials with a typed reject ack
-		// instead of the v1 Error frame.
+		// Handshake denials (auth or admission) ride a typed reject ack.
 		conn.Close()
 		if ack.Reject == wire.RejectUnauthorized {
 			return nil, ErrUnauthorized

@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -335,51 +338,72 @@ func TestQuotaRejectRateLimitedOpen(t *testing.T) {
 	c.Close()
 }
 
-// TestV1ClientInterop: a v1 client (legacy positional Open) works against
-// a quota-enabled v2 server, and a v1 over-quota open is answered with
-// the legacy Error frame instead of a v2 reject ack.
-func TestV1ClientInterop(t *testing.T) {
-	_, addr := startServer(t, Config{
+// TestV1OpenRefused: an Open frame in the retired positional v1 layout
+// is refused before admission. The server answers with an Error frame
+// naming the version, counts the session under
+// sessions_rejected_total{reason="bad_open"}, and charges no admission
+// lease: with a one-session quota, a current client still gets in.
+func TestV1OpenRefused(t *testing.T) {
+	srv, addr := startServer(t, Config{
 		Quotas: admission.Config{Default: admission.Quota{MaxSessions: 1}},
 	})
-	v1cfg := wire.OpenConfig{Version: wire.ProtocolV1, Engine: wire.EngineSoftUni, Cores: 1, Window: 64}
-	c, err := Dial(addr, v1cfg)
+	before := srv.ProcessStats().SessionsRejected["bad_open"]
+
+	// v1 Open payload: version 1, then engine, cores, window and flags
+	// positionally. The frame is built by hand: the wire package no longer
+	// writes this layout.
+	payload := binary.AppendUvarint(nil, 1)
+	payload = append(payload, byte(wire.EngineSoftUni))
+	payload = binary.AppendUvarint(payload, 1)  // cores
+	payload = binary.AppendUvarint(payload, 64) // window
+	payload = append(payload, 0)                // flags
+	frame := append([]byte{byte(wire.FrameOpen)}, binary.AppendUvarint(nil, uint64(len(payload)))...)
+	frame = append(frame, payload...)
+	crc := crc32.Update(0, crc32.IEEETable, []byte{byte(wire.FrameOpen)})
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Update(crc, crc32.IEEETable, payload))
+
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatalf("v1 client rejected by v2 server: %v", err)
+		t.Fatal(err)
 	}
-	// v1 carries no tenant, so this session and the next share "default";
-	// the second open busts the 1-session cap and must surface as the
-	// legacy Error-frame rejection (v1 cannot carry a reject ack).
-	_, err = Dial(addr, v1cfg)
-	if err == nil {
-		t.Fatal("over-quota v1 open accepted")
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
 	}
-	if errors.Is(err, ErrAdmissionDenied) {
-		t.Fatalf("v1 rejection came back typed (v2-only): %v", err)
+	r := wire.NewReader(conn)
+	f, err := r.ReadFrame()
+	if err != nil {
+		t.Fatalf("no answer to a v1 open: %v", err)
 	}
-	if !strings.Contains(err.Error(), "quota_sessions") {
-		t.Fatalf("v1 rejection does not name the quota: %v", err)
+	if f.Type != wire.FrameError {
+		t.Fatalf("v1 open answered with a %v frame, want error", f.Type)
+	}
+	if msg := wire.DecodeError(f.Payload); !strings.Contains(msg, "protocol version 1 not supported") {
+		t.Fatalf("error frame %q does not name the version", msg)
+	}
+	if _, err := r.ReadFrame(); err == nil {
+		t.Fatal("connection still open after the refusal")
 	}
 
-	// The v1 session itself is fully functional.
-	gen, err := workload.NewGenerator(workload.Spec{Seed: 3, KeyDomain: 128})
-	if err != nil {
-		t.Fatal(err)
+	if got := srv.ProcessStats().SessionsRejected["bad_open"]; got != before+1 {
+		t.Fatalf("sessions_rejected_total{reason=bad_open} = %d, want %d", got, before+1)
 	}
-	inputs := gen.Take(2000)
-	var results []stream.Result
-	done := make(chan struct{})
-	go drainAll(c, &results, done)
-	for off := 0; off < len(inputs); off += 100 {
-		if err := c.SendBatch(inputs[off : off+100]); err != nil {
-			t.Fatal(err)
+	tenants, _ := srv.TenantMetrics()
+	for _, tu := range tenants {
+		if tu.Sessions != 0 || tu.WindowBytes != 0 {
+			t.Fatalf("refused v1 open left a lease charged: %+v", tu)
 		}
 	}
-	if _, err := c.Close(); err != nil {
-		t.Fatal(err)
+	c, err := Dial(addr, wire.OpenConfig{Engine: wire.EngineSoftUni, Cores: 1, Window: 64})
+	if err != nil {
+		t.Fatalf("one-session quota exhausted by a refused v1 open: %v", err)
 	}
-	<-done
-	if err := core.VerifyExactlyOnce(64, stream.EquiJoinOnKey(), inputs, results); err != nil {
+	go func() {
+		for range c.Results() {
+		}
+	}()
+	if _, err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

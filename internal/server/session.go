@@ -271,17 +271,12 @@ func sessionWindowBytes(cfg wire.OpenConfig) int64 {
 	return 2 * int64(cfg.Window) * 16
 }
 
-// reject answers a failed handshake in the session's own protocol
-// version: v2 sessions get a typed OpenAck rejection (code plus
-// retry-after hint), v1 sessions the legacy Error frame.
-func (s *session) reject(version uint8, code wire.RejectCode, retryAfter time.Duration, v1msg string) {
-	if version != wire.ProtocolV2 {
-		s.fail(v1msg)
-		return
-	}
+// reject answers a failed handshake with a typed OpenAck rejection: the
+// reject code plus an optional retry-after hint.
+func (s *session) reject(code wire.RejectCode, retryAfter time.Duration) {
 	s.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 	s.send(func(w *wire.Writer) error {
-		return w.WriteOpenAck(wire.OpenAck{Version: wire.ProtocolV2, Reject: code, RetryAfter: retryAfter})
+		return w.WriteOpenAck(wire.OpenAck{Reject: code, RetryAfter: retryAfter})
 	})
 }
 
@@ -328,12 +323,12 @@ func (s *session) handshake() error {
 	if want := s.srv.cfg.AuthToken; want != "" {
 		if cfg.AuthToken == "" {
 			s.srv.countReject(rejectNoToken)
-			s.reject(cfg.Version, wire.RejectUnauthorized, 0, wire.UnauthorizedPrefix+": auth token required")
+			s.reject(wire.RejectUnauthorized, 0)
 			return fmt.Errorf("session sent no auth token")
 		}
 		if !tokensMatch(cfg.AuthToken, want) {
 			s.srv.countReject(rejectBadToken)
-			s.reject(cfg.Version, wire.RejectUnauthorized, 0, wire.UnauthorizedPrefix+": bad auth token")
+			s.reject(wire.RejectUnauthorized, 0)
 			return fmt.Errorf("session sent a bad auth token")
 		}
 	}
@@ -344,7 +339,7 @@ func (s *session) handshake() error {
 	lease, rej := s.srv.adm.Admit(tenant, sessionWindowBytes(cfg))
 	if rej != nil {
 		s.srv.countReject(rej.Code.String())
-		s.reject(cfg.Version, rej.Code, rej.RetryAfter, rej.Error())
+		s.reject(rej.Code, rej.RetryAfter)
 		return fmt.Errorf("tenant %q: %v", tenant, rej)
 	}
 	s.lease = lease
@@ -403,10 +398,7 @@ func (s *session) handshake() error {
 	s.eng = eng
 	s.engCfg = cfg
 	s.opened.Store(true)
-	// The ack answers in the session's own protocol version: v2 opens get
-	// the TLV ack (able to carry typed rejects on later redials), v1 opens
-	// the legacy positional encoding.
-	ack := wire.OpenAck{Version: cfg.Version, Credits: s.srv.cfg.InitialCredits, Session: s.id}
+	ack := wire.OpenAck{Credits: s.srv.cfg.InitialCredits, Session: s.id}
 	if restored != nil {
 		ack.Resumed = true
 		ack.ResumeSeqR = restored.Meta.SeqR

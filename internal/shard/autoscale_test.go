@@ -105,7 +105,6 @@ func (fs *fakeShard) serve(conn net.Conn) {
 	if fs.rejecting.Load() {
 		fs.rejects <- time.Now()
 		w.WriteOpenAck(wire.OpenAck{
-			Version:    wire.ProtocolV2,
 			Reject:     wire.RejectRateLimited,
 			RetryAfter: fs.retryAfter,
 		})
@@ -115,7 +114,7 @@ func (fs *fakeShard) serve(conn net.Conn) {
 	fs.mu.Lock()
 	fs.live = conn
 	fs.mu.Unlock()
-	w.WriteOpenAck(wire.OpenAck{Version: wire.ProtocolV2, Credits: 8, Session: 1})
+	w.WriteOpenAck(wire.OpenAck{Credits: 8, Session: 1})
 	for {
 		f, err := r.ReadFrame()
 		if err != nil {

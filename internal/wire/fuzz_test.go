@@ -31,37 +31,34 @@ func corpusFrames(tb testing.TB) [][]byte {
 	add(func(w *Writer) error { return w.WriteBatch(9, randInputs(rng, 25)) })
 	rng = rand.New(rand.NewSource(5))
 	add(func(w *Writer) error { return w.WriteResults(randResults(rng, 17)) })
-	// Opens in both encodings, so the fuzzer crosses v1 and v2 bytes: the
-	// same shard-role config positionally and field-tagged.
+	// Opens and acks. The list keeps one entry per seed of the retired
+	// positional encoding, re-encoded with the same field values, so the
+	// seed corpus (and its seed numbering) keeps its shape; that makes the
+	// shard-role open and the {16, 42} ack appear twice.
+	shardOpen := OpenConfig{Engine: EngineSoftUni, Cores: 8, Window: 1 << 14, ShardCount: 4, ShardIndex: 2, BaseSeqR: 99, BaseSeqS: 7}
+	add(func(w *Writer) error { return w.WriteOpen(shardOpen) })
+	add(func(w *Writer) error { return w.WriteOpen(shardOpen) })
+	// Auth tokens (a short one and one at the length limit) and a config
+	// carrying token + tenant + kernel, so the fuzzer mutates the length
+	// prefixes and TLV tags alike.
 	add(func(w *Writer) error {
-		return w.WriteOpen(OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 8, Window: 1 << 14, ShardCount: 4, ShardIndex: 2, BaseSeqR: 99, BaseSeqS: 7})
-	})
-	add(func(w *Writer) error {
-		return w.WriteOpen(OpenConfig{Version: ProtocolV2, Engine: EngineSoftUni, Cores: 8, Window: 1 << 14, ShardCount: 4, ShardIndex: 2, BaseSeqR: 99, BaseSeqS: 7})
-	})
-	// Auth-token fields: a short v1 tail, one at the length limit, and a
-	// v2 open carrying token + tenant + kernel, so the fuzzer mutates the
-	// length prefixes and TLV tags alike.
-	add(func(w *Writer) error {
-		return w.WriteOpen(OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 2, Window: 256, AuthToken: "hunter2"})
+		return w.WriteOpen(OpenConfig{Engine: EngineSoftUni, Cores: 2, Window: 256, AuthToken: "hunter2"})
 	})
 	add(func(w *Writer) error {
 		tok := make([]byte, MaxAuthToken)
 		for i := range tok {
 			tok[i] = byte(i)
 		}
-		return w.WriteOpen(OpenConfig{Version: ProtocolV1, Engine: EngineSoftBi, Cores: 4, Window: 1 << 10, AuthToken: string(tok)})
+		return w.WriteOpen(OpenConfig{Engine: EngineSoftBi, Cores: 4, Window: 1 << 10, AuthToken: string(tok)})
 	})
 	add(func(w *Writer) error {
 		return w.WriteOpen(OpenConfig{Engine: EngineSoftUni, Cores: 2, Window: 256, AuthToken: "hunter2", Tenant: "acme.prod", ProbeKernel: 2})
 	})
+	// Acks: an acceptance and a typed rejection with a retry hint.
 	add(func(w *Writer) error { return w.WriteOpenAck(OpenAck{Credits: 16, Session: 42}) })
-	// v2 acks: an acceptance and a typed rejection with a retry hint.
+	add(func(w *Writer) error { return w.WriteOpenAck(OpenAck{Credits: 16, Session: 42}) })
 	add(func(w *Writer) error {
-		return w.WriteOpenAck(OpenAck{Version: ProtocolV2, Credits: 16, Session: 42})
-	})
-	add(func(w *Writer) error {
-		return w.WriteOpenAck(OpenAck{Version: ProtocolV2, Reject: RejectRateLimited, RetryAfter: 1500 * time.Millisecond})
+		return w.WriteOpenAck(OpenAck{Reject: RejectRateLimited, RetryAfter: 1500 * time.Millisecond})
 	})
 	add(func(w *Writer) error { return w.WriteCredit(3) })
 	add(func(w *Writer) error { return w.WriteClosed(Stats{TuplesIn: 10000, BatchesIn: 40, ResultsOut: 123}) })
@@ -70,8 +67,8 @@ func corpusFrames(tb testing.TB) [][]byte {
 	add(func(w *Writer) error {
 		return w.WriteRebalanceCommit(RebalanceInfo{TuplesR: 60, TuplesS: 61, SeqR: 5000, SeqS: 4999})
 	})
-	// Checkpoint control frames and the resumed open-ack (with its
-	// optional resume tail), so the fuzzer mutates the tail flag too.
+	// Checkpoint control frames and the resumed open-ack, so the fuzzer
+	// mutates the resume flag too.
 	add(func(w *Writer) error { return w.WriteCheckpoint() })
 	add(func(w *Writer) error {
 		return w.WriteCheckpointDone(RebalanceInfo{TuplesR: 12, TuplesS: 13, SeqR: 800, SeqS: 801})
@@ -133,6 +130,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	seedWithFlips(f, payloadOf(f, buf.Bytes()))
+	f.Add(hostileBatch())
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		seq, inputs, err := DecodeBatch(payload, 1<<16)
 		if err != nil {
@@ -166,6 +164,7 @@ func FuzzDecodeResults(f *testing.F) {
 		f.Fatal(err)
 	}
 	seedWithFlips(f, payloadOf(f, buf.Bytes()))
+	f.Add(hostileResults())
 	// Capacity 8: small frames decode in place over stale results, larger
 	// ones force a grow.
 	dirty := randResults(rand.New(rand.NewSource(6)), 8)[:3]
@@ -205,9 +204,10 @@ func FuzzDecodeResults(f *testing.F) {
 // open-ack, credit, closed, state-chunk, rebalance-commit): accepted
 // opens must validate, and accepted values must survive a round trip.
 func FuzzDecodeControl(f *testing.F) {
-	for _, frame := range corpusFrames(f)[2:] { // opens (incl. auth tails), open-ack, credit, closed, rebalance frames
+	for _, frame := range corpusFrames(f)[2:] { // opens, open-acks, credit, closed, state and checkpoint frames
 		seedWithFlips(f, payloadOf(f, frame))
 	}
+	f.Add(hostileOpen())
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if cfg, err := DecodeOpen(payload); err == nil {
 			if verr := cfg.Validate(); verr != nil {

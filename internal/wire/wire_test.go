@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -148,10 +150,8 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCfg := cfg
-	wantCfg.Version = ProtocolV2 // clients send v2 by default; decode stamps it
-	if gotCfg != wantCfg {
-		t.Fatalf("open round trip: got %+v, want %+v", gotCfg, wantCfg)
+	if gotCfg != cfg {
+		t.Fatalf("open round trip: got %+v, want %+v", gotCfg, cfg)
 	}
 	f, _ = r.ReadFrame()
 	ack, err := DecodeOpenAck(f.Payload)
@@ -434,141 +434,77 @@ func TestOpenConfigValidate(t *testing.T) {
 	}
 }
 
-// TestOpenShardRoundTrip covers the shard-role fields of the Open frame,
-// in both the v1 (positional tail) and v2 (field-tagged) encodings.
+// roundTripOpen writes cfg as an Open frame and decodes it back.
+func roundTripOpen(t *testing.T, cfg OpenConfig) OpenConfig {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).WriteOpen(cfg); err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewReader(&buf).ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeOpen(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestOpenShardRoundTrip covers the shard-role fields of the Open frame.
 func TestOpenShardRoundTrip(t *testing.T) {
 	cfgs := []OpenConfig{
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ShardCount: 8, ShardIndex: 5},
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ShardCount: 3, ShardIndex: 0, BaseSeqR: 1 << 40, BaseSeqS: 123456},
 		{Engine: EngineSoftBi, Cores: 2, Window: 512},
 	}
-	for _, base := range cfgs {
-		for _, version := range []uint8{ProtocolV1, ProtocolV2} {
-			cfg := base
-			cfg.Version = version
-			var buf bytes.Buffer
-			if err := NewWriter(&buf).WriteOpen(cfg); err != nil {
-				t.Fatal(err)
-			}
-			f, err := NewReader(&buf).ReadFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeOpen(f.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != cfg {
-				t.Errorf("shard open round trip (v%d): got %+v, want %+v", version, got, cfg)
-			}
+	for _, cfg := range cfgs {
+		if got := roundTripOpen(t, cfg); got != cfg {
+			t.Errorf("shard open round trip: got %+v, want %+v", got, cfg)
 		}
 	}
 }
 
-// TestDecodeOpenLegacyTail: an Open payload without the shard tail (the
-// PR-1 frame layout) must still decode, as an unsharded session.
-func TestDecodeOpenLegacyTail(t *testing.T) {
-	b := appendUvarint(nil, ProtocolVersion)
-	b = append(b, byte(EngineSoftUni))
-	b = appendUvarint(b, 4)   // cores
-	b = appendUvarint(b, 256) // window
-	b = append(b, byte(1))    // flags: ordered
-	cfg, err := DecodeOpen(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 4, Window: 256, Ordered: true}
-	if cfg != want {
-		t.Errorf("legacy open decoded as %+v, want %+v", cfg, want)
-	}
-	// A partial tail (shard count without the rest) is a framing error,
-	// not a silent default.
-	if _, err := DecodeOpen(appendUvarint(b, 3)); err == nil {
-		t.Error("partial shard tail accepted")
-	}
+// openPrefix hand-builds the start of an Open payload: the version and
+// the engine, cores and window fields of a soft-uni session.
+func openPrefix() []byte {
+	b := appendUvarint(nil, ProtocolV2)
+	b = appendFieldByte(b, openTagEngine, byte(EngineSoftUni))
+	b = appendFieldUvarint(b, openTagCores, 4)
+	return appendFieldUvarint(b, openTagWindow, 256)
 }
 
-// TestOpenAuthTokenRoundTrip covers the auth token on the Open frame in
-// both encodings: tokens survive the round trip, a token-less v1 Open
-// stays byte-identical to the PR-2 encoding, and oversized tokens are
-// rejected on both ends.
+// TestOpenAuthTokenRoundTrip covers the auth token on the Open frame:
+// tokens survive the round trip, and oversized tokens are rejected on
+// both ends.
 func TestOpenAuthTokenRoundTrip(t *testing.T) {
 	cfgs := []OpenConfig{
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, AuthToken: "s3cret"},
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ShardCount: 4, ShardIndex: 1, BaseSeqR: 9, AuthToken: strings.Repeat("k", MaxAuthToken)},
 		{Engine: EngineSoftBi, Cores: 2, Window: 512, AuthToken: "with\x00binary\xffbytes"},
 	}
-	for _, base := range cfgs {
-		for _, version := range []uint8{ProtocolV1, ProtocolV2} {
-			cfg := base
-			cfg.Version = version
-			var buf bytes.Buffer
-			if err := NewWriter(&buf).WriteOpen(cfg); err != nil {
-				t.Fatal(err)
-			}
-			f, err := NewReader(&buf).ReadFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeOpen(f.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != cfg {
-				t.Errorf("auth open round trip (v%d): got %+v, want %+v", version, got, cfg)
-			}
+	for _, cfg := range cfgs {
+		if got := roundTripOpen(t, cfg); got != cfg {
+			t.Errorf("auth open round trip: got %+v, want %+v", got, cfg)
 		}
 	}
 
-	// Token-less v1 frames carry no auth tail at all.
-	plain := OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 2, Window: 512}
-	var withTok, without bytes.Buffer
-	tok := plain
-	tok.AuthToken = "t"
-	if err := NewWriter(&withTok).WriteOpen(tok); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewWriter(&without).WriteOpen(plain); err != nil {
-		t.Fatal(err)
-	}
-	if withTok.Len() != without.Len()+2 { // uvarint len 1 + 1 token byte
-		t.Errorf("token tail sizing off: %d vs %d bytes", withTok.Len(), without.Len())
-	}
-
 	// Oversized tokens: Validate refuses to build them, and a hand-built
-	// payload claiming one is rejected before allocation.
-	big := plain
-	big.AuthToken = strings.Repeat("x", MaxAuthToken+1)
+	// payload carrying one is rejected.
+	big := OpenConfig{Engine: EngineSoftUni, Cores: 2, Window: 512, AuthToken: strings.Repeat("x", MaxAuthToken+1)}
 	if err := big.Validate(); err == nil {
 		t.Error("Validate accepted oversized auth token")
 	}
-	b := appendUvarint(nil, ProtocolVersion)
-	b = append(b, byte(EngineSoftUni))
-	b = appendUvarint(b, 4)
-	b = appendUvarint(b, 256)
-	b = append(b, byte(0))
-	b = appendUvarint(b, 0) // shard tail
-	b = appendUvarint(b, 0)
-	b = appendUvarint(b, 0)
-	b = appendUvarint(b, 0)
-	okPrefix := append([]byte(nil), b...)
-	b = appendUvarint(b, MaxAuthToken+1)
+	b := appendFieldString(openPrefix(), openTagAuthToken, big.AuthToken)
 	if _, err := DecodeOpen(b); err == nil || !strings.Contains(err.Error(), "auth token") {
-		t.Errorf("oversized token length accepted: %v", err)
+		t.Errorf("oversized token accepted: %v", err)
 	}
 	// A token length that overruns the payload is a framing error.
-	b2 := appendUvarint(okPrefix, 8) // claims 8 bytes, none follow
-	if _, err := DecodeOpen(b2); err == nil {
-		t.Error("truncated token tail accepted")
-	}
-}
-
-func TestIsUnauthorized(t *testing.T) {
-	if !IsUnauthorized(UnauthorizedPrefix + ": bad or missing auth token") {
-		t.Error("unauthorized message not recognized")
-	}
-	if IsUnauthorized("server draining") {
-		t.Error("unrelated message flagged unauthorized")
+	b = appendUvarint(openPrefix(), openTagAuthToken)
+	b = appendUvarint(b, 8) // claims 8 bytes, none follow
+	if _, err := DecodeOpen(b); err == nil {
+		t.Error("truncated token field accepted")
 	}
 }
 
@@ -628,8 +564,8 @@ func TestReaderSequence(t *testing.T) {
 
 // TestCheckpointFrameRoundTrips covers the durable-checkpoint control
 // frames: Checkpoint is empty, CheckpointDone carries the snapshot
-// summary, and the OpenAck resume tail round-trips — present only when
-// Resumed is set, so old clients never see unexpected trailing bytes.
+// summary, and the OpenAck resume fields round-trip — present only when
+// Resumed is set.
 func TestCheckpointFrameRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -677,9 +613,9 @@ func TestCheckpointFrameRoundTrips(t *testing.T) {
 	}
 }
 
-// TestOpenAckResumeFlagValidated rejects a resume tail whose flag byte is
-// not the defined value 1: the tail is the only optional part of the
-// frame, so a corrupt flag must not be silently treated as either form.
+// TestOpenAckResumeFlagValidated rejects a resume field whose value is
+// not the defined flag 1, so a corrupt flag is not silently treated as
+// either form.
 func TestOpenAckResumeFlagValidated(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewWriter(&buf).WriteOpenAck(OpenAck{Credits: 2, Session: 9, Resumed: true, ResumeSeqR: 5, ResumeSeqS: 6}); err != nil {
@@ -690,22 +626,36 @@ func TestOpenAckResumeFlagValidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := append([]byte(nil), f.Payload...)
-	// The flag byte sits right after the two uvarints (credits, session).
+	// Walk the TLV fields after the leading 0 and the version to the
+	// resume flag's value byte.
 	flagAt := -1
-	for i, rest := 0, payload; i < 2; i++ {
+	rest := payload
+	for i := 0; i < 2; i++ {
 		_, n := binary.Uvarint(rest)
 		rest = rest[n:]
-		flagAt = len(payload) - len(rest)
+	}
+	for len(rest) > 0 && flagAt < 0 {
+		tag, n := binary.Uvarint(rest)
+		rest = rest[n:]
+		size, n := binary.Uvarint(rest)
+		rest = rest[n:]
+		if tag == ackTagResumed {
+			flagAt = len(payload) - len(rest)
+		}
+		rest = rest[size:]
+	}
+	if flagAt < 0 || payload[flagAt] != 1 {
+		t.Fatalf("resume flag not found in %x", payload)
 	}
 	payload[flagAt] = 2
-	if _, err := DecodeOpenAck(payload); err == nil {
-		t.Fatal("accepted open-ack with invalid resume flag")
+	if _, err := DecodeOpenAck(payload); err == nil || !strings.Contains(err.Error(), "resume flag") {
+		t.Fatalf("accepted open-ack with invalid resume flag: %v", err)
 	}
 }
 
-// TestOpenProbeKernelRoundTrip covers the probe-kernel tail of the Open
+// TestOpenProbeKernelRoundTrip covers the probe-kernel field of the Open
 // frame: explicit kernels survive the round trip (with or without an auth
-// token), an auto-kernel Open carries no kernel tail at all, and invalid
+// token), an auto-kernel Open carries no kernel field at all, and invalid
 // kernel codes are rejected on both ends.
 func TestOpenProbeKernelRoundTrip(t *testing.T) {
 	cfgs := []OpenConfig{
@@ -713,31 +663,15 @@ func TestOpenProbeKernelRoundTrip(t *testing.T) {
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ProbeKernel: stream.KernelScan, AuthToken: "s3cret"},
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ShardCount: 4, ShardIndex: 3, BaseSeqR: 7, ProbeKernel: stream.KernelHash},
 	}
-	for _, base := range cfgs {
-		for _, version := range []uint8{ProtocolV1, ProtocolV2} {
-			cfg := base
-			cfg.Version = version
-			var buf bytes.Buffer
-			if err := NewWriter(&buf).WriteOpen(cfg); err != nil {
-				t.Fatal(err)
-			}
-			f, err := NewReader(&buf).ReadFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DecodeOpen(f.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != cfg {
-				t.Errorf("probe-kernel open round trip (v%d): got %+v, want %+v", version, got, cfg)
-			}
+	for _, cfg := range cfgs {
+		if got := roundTripOpen(t, cfg); got != cfg {
+			t.Errorf("probe-kernel open round trip: got %+v, want %+v", got, cfg)
 		}
 	}
 
-	// Auto-kernel v1 frames carry neither the kernel byte nor the empty
-	// token length it would ride behind.
-	plain := OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 2, Window: 512}
+	// Auto-kernel frames carry no kernel field; an explicit kernel adds
+	// exactly one tag, length and value byte.
+	plain := OpenConfig{Engine: EngineSoftUni, Cores: 2, Window: 512}
 	kern := plain
 	kern.ProbeKernel = stream.KernelScan
 	var withKern, without bytes.Buffer
@@ -747,8 +681,8 @@ func TestOpenProbeKernelRoundTrip(t *testing.T) {
 	if err := NewWriter(&without).WriteOpen(plain); err != nil {
 		t.Fatal(err)
 	}
-	if withKern.Len() != without.Len()+2 { // empty-token uvarint + kernel byte
-		t.Errorf("kernel tail sizing off: %d vs %d bytes", withKern.Len(), without.Len())
+	if withKern.Len() != without.Len()+3 { // tag + length + kernel byte
+		t.Errorf("kernel field sizing off: %d vs %d bytes", withKern.Len(), without.Len())
 	}
 
 	// Bad configurations: an undefined kernel code, and a kernel forced on
@@ -778,9 +712,9 @@ func TestOpenProbeKernelRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenTenantRoundTrip covers the tenant identity on the v2 Open
-// frame: tenants survive the round trip, the v1 encoding refuses to carry
-// one, and malformed identities are rejected by Validate.
+// TestOpenTenantRoundTrip covers the tenant identity on the Open frame:
+// tenants survive the round trip, and malformed identities are rejected
+// by Validate.
 func TestOpenTenantRoundTrip(t *testing.T) {
 	cfgs := []OpenConfig{
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, Tenant: "acme"},
@@ -788,33 +722,9 @@ func TestOpenTenantRoundTrip(t *testing.T) {
 		{Engine: EngineSoftUni, Cores: 2, Window: 512, ShardCount: 4, ShardIndex: 1, BaseSeqR: 9, Tenant: strings.Repeat("t", MaxTenant)},
 	}
 	for _, cfg := range cfgs {
-		var buf bytes.Buffer
-		if err := NewWriter(&buf).WriteOpen(cfg); err != nil {
-			t.Fatal(err)
+		if got := roundTripOpen(t, cfg); got != cfg {
+			t.Errorf("tenant open round trip: got %+v, want %+v", got, cfg)
 		}
-		f, err := NewReader(&buf).ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeOpen(f.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := cfg
-		want.Version = ProtocolV2
-		if got != want {
-			t.Errorf("tenant open round trip: got %+v, want %+v", got, want)
-		}
-	}
-
-	// The v1 encoding has no tenant field; writing one is an error, not a
-	// silent drop.
-	v1 := OpenConfig{Version: ProtocolV1, Engine: EngineSoftUni, Cores: 2, Window: 512, Tenant: "acme"}
-	if err := NewWriter(io.Discard).WriteOpen(v1); err == nil {
-		t.Error("v1 WriteOpen silently dropped the tenant identity")
-	}
-	if err := v1.Validate(); err == nil {
-		t.Error("Validate accepted a tenant on the v1 encoding")
 	}
 
 	for _, bad := range []string{
@@ -836,9 +746,9 @@ func TestOpenTenantRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenV2UnknownFieldSkipped: a v2 Open carrying an unknown field tag
+// TestOpenV2UnknownFieldSkipped: an Open carrying an unknown field tag
 // still decodes — that is the forward-compatibility contract that lets the
-// encoding grow without a v3.
+// encoding grow without another protocol revision.
 func TestOpenV2UnknownFieldSkipped(t *testing.T) {
 	cfg := OpenConfig{Engine: EngineSoftUni, Cores: 2, Window: 512, Tenant: "acme"}
 	var buf bytes.Buffer
@@ -855,12 +765,10 @@ func TestOpenV2UnknownFieldSkipped(t *testing.T) {
 	payload = append(payload, 0xDE, 0xAD, 0xBF)
 	got, err := DecodeOpen(payload)
 	if err != nil {
-		t.Fatalf("v2 open with unknown field rejected: %v", err)
+		t.Fatalf("open with unknown field rejected: %v", err)
 	}
-	want := cfg
-	want.Version = ProtocolV2
-	if got != want {
-		t.Errorf("unknown-field open decoded as %+v, want %+v", got, want)
+	if got != cfg {
+		t.Errorf("unknown-field open decoded as %+v, want %+v", got, cfg)
 	}
 	// A field whose length overruns the payload is still a framing error.
 	trunc := append([]byte(nil), f.Payload...)
@@ -871,18 +779,17 @@ func TestOpenV2UnknownFieldSkipped(t *testing.T) {
 	}
 }
 
-// TestOpenAckV2RoundTrips covers the v2 OpenAck encoding: accepting acks
+// TestOpenAckV2RoundTrips covers the OpenAck encoding: accepting acks
 // (with and without the checkpoint-resume fields) and typed rejections
-// with a retry-after hint all survive the round trip, and the v1 encoding
-// refuses to carry a reject code.
+// with a retry-after hint all survive the round trip.
 func TestOpenAckV2RoundTrips(t *testing.T) {
 	acks := []OpenAck{
-		{Version: ProtocolV2, Credits: 16, Session: 42},
-		{Version: ProtocolV2, Credits: 8, Session: 3, Resumed: true, ResumeSeqR: 1 << 40, ResumeSeqS: 77},
-		{Version: ProtocolV2, Reject: RejectUnauthorized},
-		{Version: ProtocolV2, Reject: RejectQuotaSessions},
-		{Version: ProtocolV2, Reject: RejectQuotaMemory, RetryAfter: 250 * time.Millisecond},
-		{Version: ProtocolV2, Reject: RejectRateLimited, RetryAfter: 3 * time.Second},
+		{Credits: 16, Session: 42},
+		{Credits: 8, Session: 3, Resumed: true, ResumeSeqR: 1 << 40, ResumeSeqS: 77},
+		{Reject: RejectUnauthorized},
+		{Reject: RejectQuotaSessions},
+		{Reject: RejectQuotaMemory, RetryAfter: 250 * time.Millisecond},
+		{Reject: RejectRateLimited, RetryAfter: 3 * time.Second},
 	}
 	for _, ack := range acks {
 		var buf bytes.Buffer
@@ -898,17 +805,13 @@ func TestOpenAckV2RoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != ack {
-			t.Errorf("v2 open-ack round trip: got %+v, want %+v", got, ack)
+			t.Errorf("open-ack round trip: got %+v, want %+v", got, ack)
 		}
 	}
 
-	// The v1 encoding cannot express a typed rejection.
-	if err := NewWriter(io.Discard).WriteOpenAck(OpenAck{Reject: RejectUnauthorized}); err == nil {
-		t.Error("v1 WriteOpenAck silently dropped the reject code")
-	}
-	// A v2 accepting ack without credits is as invalid as its v1 analogue.
+	// An accepting ack without credits is invalid.
 	var buf bytes.Buffer
-	if err := NewWriter(&buf).WriteOpenAck(OpenAck{Version: ProtocolV2, Session: 9}); err != nil {
+	if err := NewWriter(&buf).WriteOpenAck(OpenAck{Session: 9}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := NewReader(&buf).ReadFrame()
@@ -916,7 +819,7 @@ func TestOpenAckV2RoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := DecodeOpenAck(f.Payload); err == nil {
-		t.Error("creditless v2 open-ack accepted")
+		t.Error("creditless open-ack accepted")
 	}
 }
 
@@ -930,6 +833,7 @@ func TestRejectCodeStrings(t *testing.T) {
 		RejectQuotaSessions: "quota_sessions",
 		RejectQuotaMemory:   "quota_memory",
 		RejectRateLimited:   "rate_limited",
+		RejectQuotaTenants:  "quota_tenants",
 	}
 	for code, s := range want {
 		if code.String() != s {
@@ -941,5 +845,76 @@ func TestRejectCodeStrings(t *testing.T) {
 	}
 	if RejectCode(99).Valid() {
 		t.Error("undefined reject code Valid")
+	}
+}
+
+// The hostile payloads below carry length or count prefixes for which a
+// bounds check written as off+n or n*width wraps around, so the check
+// passes and a slice expression or make() panics. The Open one is read
+// before authentication, so it must be refused, not crash the server.
+
+// hostileOpen is an Open whose engine field claims 2^63-1 bytes.
+func hostileOpen() []byte {
+	b := appendUvarint(nil, ProtocolV2)
+	b = appendUvarint(b, openTagEngine)
+	return appendUvarint(b, math.MaxInt64)
+}
+
+// hostileResults is a Results payload whose count times resultWireMin
+// wraps to 2.
+func hostileResults() []byte {
+	return appendUvarint(nil, math.MaxUint64/resultWireMin+1)
+}
+
+// hostileBatch is a Batch payload (seq 0) whose count times tupleWire
+// wraps to 2.
+func hostileBatch() []byte {
+	return appendUvarint(appendUvarint(nil, 0), math.MaxUint64/tupleWire+1)
+}
+
+// TestHostileLengthsRejected: every decoder refuses a wrapping length or
+// count with an error instead of panicking.
+func TestHostileLengthsRejected(t *testing.T) {
+	cases := []struct {
+		name   string
+		decode func() error
+	}{
+		{"open field of 2^63-1 bytes", func() error { _, err := DecodeOpen(hostileOpen()); return err }},
+		{"results count 2^64/18+1", func() error { _, err := DecodeResults(hostileResults()); return err }},
+		{"batch count 2^64/9+1", func() error { _, _, err := DecodeBatch(hostileBatch(), 0); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.decode(); err == nil {
+				t.Fatal("hostile payload accepted")
+			}
+		})
+	}
+}
+
+// TestHandshakeVersionRefused: an Open whose leading version is not
+// ProtocolV2 — such as the retired positional v1 layout — and an OpenAck
+// without its fixed leading 0 are refused.
+func TestHandshakeVersionRefused(t *testing.T) {
+	for _, version := range []uint64{0, 1, 3} {
+		b := appendUvarint(nil, version)
+		b = append(b, byte(EngineSoftUni))
+		b = appendUvarint(b, 4)   // cores
+		b = appendUvarint(b, 256) // window
+		b = append(b, 0)          // flags
+		_, err := DecodeOpen(b)
+		want := fmt.Sprintf("protocol version %d not supported", version)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d open: err = %v, want %q", version, err, want)
+		}
+	}
+	positional := appendUvarint(appendUvarint(nil, 16), 42) // credits, session
+	if _, err := DecodeOpenAck(positional); err == nil {
+		t.Error("open-ack without its leading 0 accepted")
+	}
+	b := appendUvarint(appendUvarint(nil, 0), 3)
+	b = appendFieldUvarint(b, ackTagCredits, 16)
+	if _, err := DecodeOpenAck(b); err == nil || !strings.Contains(err.Error(), "open-ack version 3") {
+		t.Errorf("version 3 open-ack: err = %v", err)
 	}
 }
